@@ -1320,7 +1320,7 @@ impl RealTimeDetector {
             detector: self,
             forest,
             quality: QualityExtractor::new(fs)?,
-            quality_scratch: QualityScratch::default(),
+            quality_scratch: QualityScratch::for_window(window.window_samples()),
             quality_row: [0.0; NUM_QUALITY_FEATURES],
             extractor,
             row: vec![0.0; num_features],
@@ -1356,7 +1356,8 @@ pub struct StreamingDetection {
 /// same Schmitt-trigger hysteresis as the batch gate), standardization with
 /// the training statistics, forest classification and alarm gating. After
 /// the warm-up allocations in [`RealTimeDetector::streaming`], pushing
-/// samples performs no heap allocation.
+/// samples performs no heap allocation (`tests/device_no_alloc.rs` counts
+/// them over a whole gated record).
 #[derive(Debug)]
 pub struct StreamingDetector<'a> {
     detector: &'a RealTimeDetector,

@@ -204,7 +204,7 @@ pub(crate) fn accumulate_pattern_counts(
 /// sample enters at the back with `c` of the retained samples ordered at or
 /// below it. Both are pure combinatorics — built once from the permutation
 /// group, independent of any signal.
-struct OrdinalTransitions {
+pub(crate) struct OrdinalTransitions {
     /// Order-3 rank → order-2 rank of the two retained samples.
     drop3: [u8; 6],
     /// `[order-2 rank][insert slot 0..=2]` → order-3 rank.
@@ -279,7 +279,7 @@ fn fill_transitions(order: usize, drop: &mut [u8], ins: &mut [u8]) {
     }
 }
 
-fn ordinal_transitions() -> &'static OrdinalTransitions {
+pub(crate) fn ordinal_transitions() -> &'static OrdinalTransitions {
     ORDINAL_TRANSITIONS.get_or_init(|| {
         let mut tables = OrdinalTransitions {
             drop3: [0; 6],

@@ -339,6 +339,9 @@ impl StreamingRichExtractor {
                 },
             })
         };
+        // The ordinal-pattern transition tables are process-wide and built on
+        // first use: build them here so the first hop does not allocate.
+        crate::entropy::ordinal_transitions();
         Ok(Self {
             fs,
             window,

@@ -22,7 +22,7 @@
 //! |------|-----------|
 //! | `nan-ordering` | float comparisons use `f64::total_cmp`, never `partial_cmp` + `unwrap`/`expect`/`unwrap_or` |
 //! | `panic-free-decode` | `ml/src/persist/` never panics on untrusted bytes (no `unwrap`/`expect`/`panic!`/literal indexing) |
-//! | `hot-path-alloc` | blocks marked hot never allocate (`Vec::new`, `vec!`, `collect`, `format!`, `.clone()`, ...) |
+//! | `hot-path-alloc` | blocks marked hot never allocate (`Vec::new`, `vec!`, `collect`, `format!`, `.clone()`, stable sorts, ...) |
 //! | `determinism` | `ml`/`features`/`dsp`/`core` non-test code never uses wall clocks, OS entropy or hash-ordered containers |
 //! | `unsafe-audit` | every `unsafe` carries an adjacent `SAFETY:` comment; unsafe-free crates carry `#![forbid(unsafe_code)]` |
 //!
@@ -698,7 +698,9 @@ fn rule_hot_path_alloc(ctx: &mut RuleCtx<'_>) {
         return;
     }
     let code = &ctx.masked.code;
-    let patterns: [&str; 14] = [
+    // Stable sorts allocate a merge buffer past a small-slice cutoff;
+    // `sort_unstable*` and `select_nth_unstable*` work in place.
+    let patterns: [&str; 17] = [
         "Vec::new",
         "Vec::with_capacity",
         "vec!",
@@ -713,6 +715,9 @@ fn rule_hot_path_alloc(ctx: &mut RuleCtx<'_>) {
         ".to_string(",
         ".to_owned(",
         "HashMap::new",
+        ".sort(",
+        ".sort_by(",
+        ".sort_by_key(",
     ];
     for pat in patterns {
         for at in find_all(code, pat) {

@@ -11,6 +11,7 @@ const NAN_NO_REASON: &str = include_str!("../fixtures/nan_ordering_no_reason.rs"
 const DECODE_BAD: &str = include_str!("../fixtures/decode_bad.rs");
 const DECODE_GOOD: &str = include_str!("../fixtures/decode_good.rs");
 const HOT_PATH: &str = include_str!("../fixtures/hot_path.rs");
+const HOT_PATH_SORT: &str = include_str!("../fixtures/hot_path_sort.rs");
 const DETERMINISM_BAD: &str = include_str!("../fixtures/determinism_bad.rs");
 const UNSAFE_AUDIT: &str = include_str!("../fixtures/unsafe_audit.rs");
 
@@ -111,6 +112,19 @@ fn hot_path_alloc_fires_only_inside_marked_blocks() {
     // `cold` allocates freely; `hot_clean` is silent; the annotated
     // exemption in `hot_with_exemption` is honored.
     assert_eq!(lines, vec![7, 8, 9, 9, 11, 12, 13]);
+}
+
+#[test]
+fn hot_path_alloc_flags_stable_sorts_only() {
+    let report = scan_file("crates/ml/src/fixture.rs", HOT_PATH_SORT);
+    let lines: Vec<usize> = report.diagnostics.iter().map(|d| d.line).collect();
+    // sort_by, sort and sort_by_key in `hot_sorts`; the unstable sorts and
+    // the selection stay silent, as do `cold_sort` and the annotated sort.
+    assert_eq!(lines, vec![6, 7, 8], "{:?}", report.diagnostics);
+    assert!(report
+        .diagnostics
+        .iter()
+        .all(|d| d.rule == Rule::HotPathAlloc.name()));
 }
 
 #[test]

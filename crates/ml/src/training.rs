@@ -378,6 +378,7 @@ impl TrainingSet {
                 for (r, slot) in run.iter_mut().enumerate() {
                     *slot = r as u16;
                 }
+                // lint: allow(hot-path-alloc) — stable (value, id) ties are the run contract; per retrain
                 run.sort_by(|&a, &b| {
                     count_run_comparison();
                     vals[a as usize].total_cmp(&vals[b as usize])
@@ -405,6 +406,7 @@ impl TrainingSet {
             let vals = &columns[off..off + len];
             fresh.clear();
             fresh.extend((old_in..len).map(|r| r as u16));
+            // lint: allow(hot-path-alloc) — the merge below needs stable (value, id) ties; per retrain
             fresh.sort_by(|&a, &b| {
                 count_run_comparison();
                 vals[a as usize].total_cmp(&vals[b as usize])
