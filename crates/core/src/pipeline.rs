@@ -8,11 +8,13 @@
 
 use crate::algorithm::{DetectorConfig, Implementation};
 use crate::error::CoreError;
-use crate::label::SeizureLabel;
+use crate::label::{window_labels, SeizureLabel};
 use crate::labeler::{LabelerConfig, PosterioriLabeler};
 use crate::realtime::{balanced_indices, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
 use crate::workspace::FeatureWorkspace;
 use seizure_data::sampler::EegRecord;
+use seizure_features::extractor::RichFeatureSet;
+use seizure_features::FeatureError;
 use seizure_ml::metrics::ConfusionMatrix;
 use seizure_ml::persist::journal::{
     self, CompactionPolicy, DeltaSave, DeltaState, JournalReplayReport, JournalWriter,
@@ -249,7 +251,10 @@ impl SelfLearningPipeline {
             return Ok(None);
         }
         let label = match source {
-            LabelSource::Algorithm => self.labeler.label_record(record, average_seizure_secs)?,
+            LabelSource::Algorithm => {
+                self.labeler
+                    .label_record_with(record, average_seizure_secs, &mut self.workspace)?
+            }
             LabelSource::Expert => {
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?
             }
@@ -263,11 +268,12 @@ impl SelfLearningPipeline {
     /// [`SelfLearningPipeline::observe_missed_seizure`]; it can also be called
     /// directly with an externally produced label.
     ///
-    /// Runs entirely on the flat batch engine and the incremental retraining
-    /// engine: the record's windows are extracted into the pipeline's
-    /// reusable workspace, a balanced selection is staged into the flat batch
-    /// buffers, and [`RealTimeDetector::retrain_incremental`] appends it to
-    /// the detector's growing pool — sorting only the block-local presorted
+    /// Runs on the flat batch engine and the incremental retraining engine:
+    /// the balanced selection is chosen from the record's window labels
+    /// first, only the selected windows' rich features are then extracted
+    /// into the flat batch buffers, and
+    /// [`RealTimeDetector::retrain_incremental`] appends them to the
+    /// detector's growing pool — sorting only the block-local presorted
     /// runs the batch touches and refitting only the trees whose bootstrap
     /// pools the new windows touched, instead of paying a full
     /// `train_forest` per missed seizure.
@@ -326,18 +332,33 @@ impl SelfLearningPipeline {
     }
 
     /// The staging and retraining core shared by the two public entry
-    /// points, run after the record has passed the quarantine check.
+    /// points, run after the record has passed the quarantine check. It
+    /// selects first and extracts second: the window labels come from the
+    /// record's geometry, the balanced selection is staged as window indices,
+    /// and only those windows' rich rows are extracted, straight into the
+    /// batch buffer.
     fn learn_record(&mut self, record: &EegRecord, label: &SeizureLabel) -> Result<(), CoreError> {
-        let labels = self.detector.build_training_windows_with(
-            record.signal(),
+        let signal = record.signal();
+        let window = self.detector.window_config(signal.sampling_frequency())?;
+        let num_windows = window.num_windows(signal.len());
+        if num_windows == 0 {
+            return Err(FeatureError::SignalTooShort {
+                actual: signal.len(),
+                required: window.window_samples(),
+            }
+            .into());
+        }
+        let labels = window_labels(
             label,
-            &mut self.workspace,
+            num_windows,
+            window.window_seconds(),
+            window.step_seconds(),
         )?;
         if !labels.iter().any(|&l| l) {
             return Ok(());
         }
         // The quarantine check left this record's verdicts in the workspace
-        // (feature extraction fills only the feature matrix); the gate both
+        // (the labeler fills only its feature matrix); the gate both
         // calibrates its amplitude reference from the record's clean
         // seizure-free windows and strikes `Reject` windows from the
         // balanced selection below.
@@ -365,11 +386,8 @@ impl SelfLearningPipeline {
             return Ok(());
         }
         let selected = balanced_indices(&eligible_labels)?;
-        let matrix = self.workspace.matrix();
-        let num_features = matrix.num_features();
-        self.batch_rows.clear();
+        let mut staged = Vec::with_capacity(selected.len());
         self.batch_labels.clear();
-        self.batch_rows.reserve(selected.len() * num_features);
         // `balanced_indices` returns every positive followed by the sampled
         // negatives; staged in that order a long seizure (more positive
         // windows than `block_size`) would fill whole ownership blocks of
@@ -389,9 +407,16 @@ impl SelfLearningPipeline {
                 n += 1;
                 neg[n - 1]
             };
-            self.batch_rows.extend_from_slice(matrix.row(eligible[i]));
+            staged.push(eligible[i]);
             self.batch_labels.push(eligible_labels[i]);
         }
+        self.detector.extract_windows_into(
+            signal,
+            &staged,
+            &self.workspace,
+            &mut self.batch_rows,
+        )?;
+        let num_features = RichFeatureSet::NUM_FEATURES;
         self.detector
             .retrain_incremental(&self.batch_rows, num_features, &self.batch_labels)?;
         self.num_seizures += 1;
@@ -983,6 +1008,145 @@ mod tests {
         assert!(
             max_run <= pos.div_ceil(neg) + 1,
             "max single-class run {max_run} exceeds the class ratio bound"
+        );
+    }
+
+    /// The extract-everything staging `learn_record` used before it selected
+    /// first: the full rich matrix, gate rejects struck, `balanced_indices`,
+    /// then the proportional merge over whole matrix rows. Returns `None`
+    /// when the record stages nothing (no seizure window, or a gate that
+    /// struck a whole class).
+    fn full_matrix_staging(
+        detector: &RealTimeDetector,
+        record: &EegRecord,
+        label: &SeizureLabel,
+    ) -> Option<(Vec<f64>, Vec<bool>)> {
+        let signal = record.signal();
+        let window = detector.window_config(signal.sampling_frequency()).unwrap();
+        let matrix = detector.extract_feature_matrix(signal).unwrap();
+        let labels = window_labels(
+            label,
+            matrix.num_windows(),
+            window.window_seconds(),
+            window.step_seconds(),
+        )
+        .unwrap();
+        let mut ws = FeatureWorkspace::new();
+        if detector.config().quality_gate {
+            detector.assess_quality_into(signal, &mut ws).unwrap();
+        }
+        let eligible: Vec<usize> = (0..labels.len())
+            .filter(|&w| ws.verdicts.get(w) != Some(&QualityVerdict::Reject))
+            .collect();
+        let eligible_labels: Vec<bool> = eligible.iter().map(|&w| labels[w]).collect();
+        let selected = balanced_indices(&eligible_labels).ok()?;
+        let num_pos = eligible_labels.iter().filter(|&&l| l).count();
+        let (pos, neg) = selected.split_at(num_pos);
+        let (mut p, mut n) = (0usize, 0usize);
+        let (mut rows, mut staged_labels) = (Vec::new(), Vec::new());
+        while p < pos.len() || n < neg.len() {
+            let pick_pos = n >= neg.len() || (p < pos.len() && p * neg.len() <= n * pos.len());
+            let i = if pick_pos {
+                p += 1;
+                pos[p - 1]
+            } else {
+                n += 1;
+                neg[n - 1]
+            };
+            rows.extend_from_slice(matrix.row(eligible[i]));
+            staged_labels.push(eligible_labels[i]);
+        }
+        Some((rows, staged_labels))
+    }
+
+    /// Drives `records` through `observe_missed_seizure` and checks every
+    /// learned record against the full-matrix oracle: bit-identical staged
+    /// rows and labels, and an identical forest after retraining a clone of
+    /// the pre-report detector on the oracle's batch. Returns the number of
+    /// gate-rejected windows seen across the learned records.
+    fn assert_staging_matches_full_matrix(
+        detector_config: RealTimeDetectorConfig,
+        records: &[EegRecord],
+        w: f64,
+    ) -> usize {
+        let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), detector_config);
+        let mut rejected = 0;
+        for (i, record) in records.iter().enumerate() {
+            let before = pipeline.detector().clone();
+            let label = pipeline
+                .observe_missed_seizure(record, w, LabelSource::Algorithm)
+                .unwrap()
+                .expect("test records must pass the gate");
+            let (rows, labels) =
+                full_matrix_staging(&before, record, &label).expect("record stages a batch");
+            assert_eq!(pipeline.batch_labels, labels, "record {i}: staged labels");
+            assert_eq!(
+                pipeline.batch_rows.len(),
+                rows.len(),
+                "record {i}: staged rows"
+            );
+            assert!(
+                pipeline
+                    .batch_rows
+                    .iter()
+                    .zip(&rows)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "record {i}: staged rows differ from the full-matrix rows"
+            );
+            let mut oracle = before;
+            oracle
+                .retrain_incremental(&rows, RichFeatureSet::NUM_FEATURES, &labels)
+                .unwrap();
+            assert!(oracle.flat_forest().is_some());
+            assert_eq!(
+                oracle.flat_forest(),
+                pipeline.detector().flat_forest(),
+                "record {i}: retrained forest"
+            );
+            rejected += pipeline
+                .workspace
+                .verdicts
+                .iter()
+                .filter(|&&v| v == QualityVerdict::Reject)
+                .count();
+        }
+        assert_eq!(pipeline.num_seizures_collected(), records.len());
+        rejected
+    }
+
+    #[test]
+    fn staging_matches_the_full_matrix_oracle_gated_and_ungated() {
+        let cohort = Cohort::chb_mit_like(29);
+        let config = small_sample_config();
+        let patient = 8;
+        let w = cohort.average_seizure_duration(patient).unwrap();
+        let records: Vec<EegRecord> = (0..2)
+            .map(|seizure| cohort.sample_record(patient, seizure, &config, 40).unwrap())
+            .collect();
+        let ungated = RealTimeDetectorConfig {
+            quality_gate: false,
+            ..fast_detector_config()
+        };
+        assert_staging_matches_full_matrix(ungated, &records, w);
+        assert_staging_matches_full_matrix(fast_detector_config(), &records, w);
+
+        // Electrode pops reject a few windows without quarantining the
+        // record, so the gate strikes windows out of the staged selection.
+        let popped: Vec<EegRecord> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                degraded_record(
+                    r,
+                    seizure_data::synth::HostileScenario::ElectrodePop,
+                    0x909 + i as u64,
+                )
+            })
+            .collect();
+        let rejected = assert_staging_matches_full_matrix(fast_detector_config(), &popped, w);
+        assert!(
+            rejected > 0,
+            "the popped records must carry rejected windows"
         );
     }
 

@@ -312,7 +312,7 @@ impl RealTimeDetector {
         self.flat.is_some()
     }
 
-    fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
+    pub(crate) fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
         Ok(SlidingWindowConfig::new(
             fs,
             self.config.window_secs,
@@ -359,6 +359,37 @@ impl RealTimeDetector {
         Ok(())
     }
 
+    /// Extracts the rich rows of the listed windows of `signal` only, in
+    /// list order, into `out` (row-major, [`RichFeatureSet::NUM_FEATURES`]
+    /// values per row), checking scratches out of the workspace's pool. Each
+    /// row is bit-identical to the matching row of
+    /// [`RealTimeDetector::extract_feature_matrix`]; the self-learning loop
+    /// extracts just its balanced training batch this way.
+    ///
+    /// # Errors
+    ///
+    /// Propagates window-configuration and extraction failures, including a
+    /// window index past the record's last window.
+    pub fn extract_windows_into(
+        &self,
+        signal: &EegSignal,
+        windows: &[usize],
+        workspace: &FeatureWorkspace,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CoreError> {
+        let fs = signal.sampling_frequency();
+        let window = self.window_config(fs)?;
+        RichFeatureSet::new(fs)?.extract_windows_into(
+            signal.f7t3(),
+            signal.f8t4(),
+            &window,
+            windows,
+            &workspace.pool,
+            out,
+        )?;
+        Ok(())
+    }
+
     /// Extracts the rich (54-feature) matrix of a signal as plain rows
     /// (allocating; kept for the training path, which needs row vectors).
     ///
@@ -390,31 +421,6 @@ impl RealTimeDetector {
             window.step_seconds(),
         )?;
         Ok(Dataset::new(rows, labels)?)
-    }
-
-    /// Flat-path twin of [`RealTimeDetector::build_training_windows`]:
-    /// extracts the record's features into the workspace matrix (reusing its
-    /// buffers) and returns the per-window labels, leaving the rows in
-    /// `workspace.matrix()` — no `Vec<Vec<f64>>` round-trip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures.
-    pub fn build_training_windows_with(
-        &self,
-        signal: &EegSignal,
-        label: &SeizureLabel,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<Vec<bool>, CoreError> {
-        let fs = signal.sampling_frequency();
-        let window = self.window_config(fs)?;
-        self.extract_feature_matrix_with(signal, workspace)?;
-        window_labels(
-            label,
-            workspace.matrix.num_windows(),
-            window.window_seconds(),
-            window.step_seconds(),
-        )
     }
 
     /// Builds a balanced training dataset: all seizure windows of `dataset`

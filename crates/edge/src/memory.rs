@@ -269,24 +269,29 @@ impl MemoryModel {
     /// a one-byte verdict per analysis step (one step per second, matching
     /// the detector's 4 s windows at 75 % overlap — the full verdict ribbon
     /// is kept so the a-posteriori labeler can quarantine history windows),
-    /// and one two-channel 4-second window copy the slow gain correction
-    /// rewrites in place.
+    /// one two-channel 4-second window copy the slow gain correction
+    /// rewrites in place, and the fused quality kernel's step buffer: one
+    /// `f64` `|Δ|` per sample of a one-channel 4-second window (channels are
+    /// assessed one after the other through the same buffer).
     pub fn quality_scratch_bytes(&self, buffer_secs: f64) -> usize {
         if buffer_secs <= 0.0 || buffer_secs.is_nan() {
             return 0;
         }
         let verdict_rows = buffer_secs.ceil() as usize;
-        let corrected_window = (4.0 * self.spec.eeg_sampling_hz) as usize * self.spec.num_channels;
+        let window = (4.0 * self.spec.eeg_sampling_hz) as usize;
+        let corrected_window = window * self.spec.num_channels;
         QUALITY_FEATURES * std::mem::size_of::<f64>()
             + verdict_rows
             + corrected_window * std::mem::size_of::<f64>()
+            + window * std::mem::size_of::<f64>()
     }
 
     /// [`MemoryModel::budget_with_snapshot`] for a quality-gated detector:
     /// Flash additionally holds the gate's [`GATE_STATE_BYTES`] calibration
     /// block next to the snapshot, and the RAM side grows by
     /// [`MemoryModel::quality_scratch_bytes`] — the per-window indicator
-    /// rows, verdicts, and the gain-correction window copy. `fits_ram` and
+    /// rows, verdicts, the gain-correction window copy and the quality
+    /// kernel's step buffer. `fits_ram` and
     /// `fits_flash` answer whether artifact rejection is affordable on the
     /// platform at all.
     ///
@@ -522,9 +527,10 @@ mod tests {
         let model = model();
         // Scratch formula: one live indicator row + a verdict byte per
         // second, plus one 4 s two-channel f64 window for the gain
-        // correction.
+        // correction and one 4 s one-channel f64 step buffer for the
+        // quality kernel.
         let scratch = model.quality_scratch_bytes(1200.0);
-        assert_eq!(scratch, 15 * 8 + 1200 + 4 * 256 * 2 * 8);
+        assert_eq!(scratch, 15 * 8 + 1200 + 4 * 256 * 2 * 8 + 4 * 256 * 8);
         assert_eq!(model.quality_scratch_bytes(0.0), 0);
         assert_eq!(model.quality_scratch_bytes(f64::NAN), 0);
 

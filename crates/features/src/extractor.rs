@@ -280,28 +280,12 @@ pub trait FeatureExtractor {
     }
 }
 
-/// Shared driver of the parallel batch extraction path: validates the
-/// channels, refills the flat output matrix in place, and fans the windows
-/// out across scoped worker threads, each checking one [`FeatureScratch`]
-/// out of the pool for its whole block.
-// lint: hot-path
-#[allow(clippy::too_many_arguments)]
-fn parallel_extract_into<MN, EX>(
-    num_features: usize,
-    make_names: MN,
+/// Validates a whole record for the batch path and returns its window count.
+fn record_window_count(
     f7t3: &[f64],
     f8t4: &[f64],
     config: &SlidingWindowConfig,
-    fs: f64,
-    max_wavelet_levels: usize,
-    pool: &FeatureScratchPool,
-    matrix: &mut FeatureMatrix,
-    extract: EX,
-) -> Result<(), FeatureError>
-where
-    MN: FnOnce() -> Vec<String>,
-    EX: Fn(&[f64], &[f64], &mut [f64], &mut FeatureScratch) -> Result<(), FeatureError> + Sync,
-{
+) -> Result<usize, FeatureError> {
     if f7t3.len() != f8t4.len() {
         return Err(FeatureError::ChannelLengthMismatch {
             left: f7t3.len(),
@@ -315,15 +299,48 @@ where
             required: config.window_samples(),
         });
     }
+    Ok(count)
+}
+
+/// Misuse-only error constructor for a gathered window index past the end
+/// of the record, kept outside the hot blocks.
+#[cold]
+fn window_out_of_range(index: usize, count: usize) -> FeatureError {
+    FeatureError::DimensionMismatch {
+        detail: format!("window {index} requested but the record holds {count} windows"),
+    }
+}
+
+/// Shared driver of the parallel batch extraction paths: fans the rows of
+/// `out` (`num_features` values each) out across scoped worker threads, each
+/// checking one [`FeatureScratch`] out of the pool for its whole block, and
+/// fills row `r` from the window with index `window_of(r)`. The full-record
+/// path maps every row to itself; the gather maps rows to a window list.
+/// Callers validate the channels and the window indices.
+// lint: hot-path
+#[allow(clippy::too_many_arguments)]
+fn parallel_extract_into<WO, EX>(
+    num_features: usize,
+    f7t3: &[f64],
+    f8t4: &[f64],
+    config: &SlidingWindowConfig,
+    fs: f64,
+    max_wavelet_levels: usize,
+    pool: &FeatureScratchPool,
+    out: &mut [f64],
+    window_of: WO,
+    extract: EX,
+) -> Result<(), FeatureError>
+where
+    WO: Fn(usize) -> usize + Sync,
+    EX: Fn(&[f64], &[f64], &mut [f64], &mut FeatureScratch) -> Result<(), FeatureError> + Sync,
+{
     let window = config.window_samples();
     let step = config.step_samples();
-    matrix.ensure_names(make_names);
-    debug_assert_eq!(matrix.num_features(), num_features);
-    let data = matrix.reset_rows(count);
-    seizure_parallel::par_process_rows::<FeatureError, _>(data, num_features, |first_row, block| {
+    seizure_parallel::par_process_rows::<FeatureError, _>(out, num_features, |first_row, block| {
         let mut scratch = pool.acquire(fs, window, max_wavelet_levels)?;
         for (offset, row) in block.chunks_mut(num_features).enumerate() {
-            let start = (first_row + offset) * step;
+            let start = window_of(first_row + offset) * step;
             extract(
                 &f7t3[start..start + window],
                 &f8t4[start..start + window],
@@ -535,16 +552,19 @@ impl FeatureExtractor for PaperFeatureSet {
         pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
+        let count = record_window_count(f7t3, f8t4, config)?;
+        matrix.ensure_names(|| self.feature_names());
+        let num_features = matrix.num_features();
         parallel_extract_into(
-            self.num_features(),
-            || self.feature_names(),
+            num_features,
             f7t3,
             f8t4,
             config,
             self.fs,
             PAPER_WAVELET_LEVELS,
             pool,
-            matrix,
+            matrix.reset_rows(count),
+            |row| row,
             |w1, w2, out, scratch| self.extract_window_into(w1, w2, out, scratch),
         )
     }
@@ -566,6 +586,9 @@ pub(crate) const RICH_FEATURES_PER_CHANNEL: usize = 27;
 pub(crate) const RICH_WAVELET_LEVELS: usize = 5;
 
 impl RichFeatureSet {
+    /// Number of features per window (27 per channel).
+    pub const NUM_FEATURES: usize = 2 * RICH_FEATURES_PER_CHANNEL;
+
     /// Creates the extractor for signals sampled at `fs` Hz.
     ///
     /// # Errors
@@ -740,12 +763,12 @@ impl RichFeatureSet {
         out: &mut [f64],
         scratch: &mut FeatureScratch,
     ) -> Result<(), FeatureError> {
-        if out.len() != 2 * RICH_FEATURES_PER_CHANNEL {
+        if out.len() != Self::NUM_FEATURES {
             return Err(FeatureError::DimensionMismatch {
                 detail: format!(
                     "output slice has {} slots but the rich set produces {} features",
                     out.len(),
-                    2 * RICH_FEATURES_PER_CHANNEL
+                    Self::NUM_FEATURES
                 ),
             });
         }
@@ -768,6 +791,59 @@ impl RichFeatureSet {
         self.channel_features_into(f7t3, left, scratch)?;
         self.channel_features_into(f8t4, right, scratch)?;
         Ok(())
+    }
+
+    /// Gathers the rows of the listed windows only: row `r` of `out`
+    /// (refilled in place, [`RichFeatureSet::NUM_FEATURES`] values per row)
+    /// holds the features of window `windows[r]`, in list order, duplicates
+    /// allowed. Each row is the same [`RichFeatureSet::extract_window_into`]
+    /// call on the same samples that
+    /// [`FeatureExtractor::extract_batch_into`] makes for that window, so a
+    /// gathered row is bit-identical to the matching row of the full matrix.
+    /// An empty list leaves `out` empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ
+    /// in length and [`FeatureError::DimensionMismatch`] if an index lies
+    /// past the record's last window; propagates numeric failures.
+    // lint: hot-path
+    pub fn extract_windows_into(
+        &self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        config: &SlidingWindowConfig,
+        windows: &[usize],
+        pool: &FeatureScratchPool,
+        out: &mut Vec<f64>,
+    ) -> Result<(), FeatureError> {
+        if f7t3.len() != f8t4.len() {
+            return Err(FeatureError::ChannelLengthMismatch {
+                left: f7t3.len(),
+                right: f8t4.len(),
+            });
+        }
+        let count = config.num_windows(f7t3.len());
+        if let Some(&index) = windows.iter().find(|&&w| w >= count) {
+            return Err(window_out_of_range(index, count));
+        }
+        out.clear();
+        if windows.is_empty() {
+            return Ok(());
+        }
+        out.resize(windows.len() * Self::NUM_FEATURES, 0.0);
+        parallel_extract_into(
+            Self::NUM_FEATURES,
+            f7t3,
+            f8t4,
+            config,
+            self.fs,
+            RICH_WAVELET_LEVELS,
+            pool,
+            out,
+            |row| windows[row],
+            |w1, w2, row, scratch| self.extract_window_into(w1, w2, row, scratch),
+        )
     }
 }
 
@@ -815,16 +891,19 @@ impl FeatureExtractor for RichFeatureSet {
         pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
+        let count = record_window_count(f7t3, f8t4, config)?;
+        matrix.ensure_names(|| self.feature_names());
+        let num_features = matrix.num_features();
         parallel_extract_into(
-            self.num_features(),
-            || self.feature_names(),
+            num_features,
             f7t3,
             f8t4,
             config,
             self.fs,
             RICH_WAVELET_LEVELS,
             pool,
-            matrix,
+            matrix.reset_rows(count),
+            |row| row,
             |w1, w2, out, scratch| self.extract_window_into(w1, w2, out, scratch),
         )
     }

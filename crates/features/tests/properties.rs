@@ -5,13 +5,31 @@ use seizure_features::bandpower::{all_band_powers, Band};
 use seizure_features::entropy::{
     permutation_entropy, renyi_entropy, sample_entropy, shannon_entropy,
 };
-use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet, SlidingWindowConfig};
+use seizure_features::extractor::{
+    FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
+};
 use seizure_features::matrix::FeatureMatrix;
 use seizure_features::normalize::normalize_features;
+use seizure_features::scratch::FeatureScratchPool;
 use seizure_features::waveform::{line_length, peak_to_peak, zero_crossings};
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, len)
+}
+
+/// Deterministic pseudo-random EEG-like channel: a seizure-band tone plus
+/// xorshift noise, long enough for a handful of 4 s windows.
+fn noisy_channel(len: usize, fs: f64, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let noise = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            20.0 * (2.0 * std::f64::consts::PI * 5.0 * i as f64 / fs).sin() + 40.0 * noise
+        })
+        .collect()
 }
 
 proptest! {
@@ -118,5 +136,57 @@ proptest! {
         let features = extractor.extract_window(&window, &window).unwrap();
         prop_assert_eq!(features.len(), 10);
         prop_assert!(features.iter().all(|f| f.is_finite()));
+    }
+
+    #[test]
+    fn gathered_rich_rows_are_bit_identical_to_the_full_matrix(
+        rate in 0usize..3,
+        secs in 5.0f64..12.0,
+        picks in prop::collection::vec(0usize..1000, 0..40),
+        seed in 0u64..1_000_000,
+    ) {
+        let fs = [128.0, 173.0, 256.0][rate];
+        let len = (secs * fs) as usize;
+        let f7t3 = noisy_channel(len, fs, seed);
+        let f8t4 = noisy_channel(len, fs, seed ^ 0x9e37_79b9_7f4a_7c15);
+        let config = SlidingWindowConfig::paper_default(fs).unwrap();
+        let extractor = RichFeatureSet::new(fs).unwrap();
+        let pool = FeatureScratchPool::new();
+        let mut full = FeatureMatrix::default();
+        extractor.extract_batch_into(&f7t3, &f8t4, &config, &pool, &mut full).unwrap();
+        let count = full.num_windows();
+        prop_assert!(count >= 2);
+
+        // An unsorted list with duplicates that always holds the first and
+        // the last window.
+        let mut windows: Vec<usize> = picks.iter().map(|p| p % count).collect();
+        windows.insert(windows.len() / 2, count - 1);
+        windows.push(0);
+        let mut out = vec![f64::NAN; 3];
+        extractor
+            .extract_windows_into(&f7t3, &f8t4, &config, &windows, &pool, &mut out)
+            .unwrap();
+        prop_assert_eq!(out.len(), windows.len() * RichFeatureSet::NUM_FEATURES);
+        for (row, &w) in out.chunks(RichFeatureSet::NUM_FEATURES).zip(&windows) {
+            for (got, want) in row.iter().zip(full.row(w)) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        // An empty list succeeds with an empty output.
+        extractor
+            .extract_windows_into(&f7t3, &f8t4, &config, &[], &pool, &mut out)
+            .unwrap();
+        prop_assert!(out.is_empty());
+
+        // Mismatched channels and an index past the last window are errors,
+        // not panics.
+        prop_assert!(extractor
+            .extract_windows_into(&f7t3, &f8t4[1..], &config, &windows, &pool, &mut out)
+            .is_err());
+        windows.push(count + picks.len());
+        prop_assert!(extractor
+            .extract_windows_into(&f7t3, &f8t4, &config, &windows, &pool, &mut out)
+            .is_err());
     }
 }

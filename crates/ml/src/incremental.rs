@@ -333,7 +333,12 @@ impl IncrementalTrainer {
         let mut block_buf: Vec<u32> = Vec::new();
         // (tree index, draw range, block range, new fingerprint) per
         // refitted tree.
-        type Pending = (usize, std::ops::Range<usize>, std::ops::Range<usize>, TreeState);
+        type Pending = (
+            usize,
+            std::ops::Range<usize>,
+            std::ops::Range<usize>,
+            TreeState,
+        );
         let mut pending: Vec<Pending> = Vec::new();
         for t in 0..n_trees {
             let blocks_owned = if t < num_blocks {

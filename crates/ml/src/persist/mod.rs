@@ -1029,7 +1029,10 @@ pub fn trainer_from_bytes(bytes: &[u8]) -> Result<IncrementalTrainer, PersistErr
         // blocks. A pathological persisted block_size (zero or beyond the
         // u16-relative-id ceiling) is clamped here so decode stays total;
         // `retrain` re-validates the configured value before using it.
-        Some(read_training_set_body(&mut r, block_size.clamp(1, MAX_RUN_BLOCK))?)
+        Some(read_training_set_body(
+            &mut r,
+            block_size.clamp(1, MAX_RUN_BLOCK),
+        )?)
     } else {
         None
     };

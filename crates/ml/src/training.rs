@@ -254,7 +254,7 @@ impl TrainingSet {
             });
         }
         assert!(
-            run_block >= 1 && run_block <= MAX_RUN_BLOCK,
+            (1..=MAX_RUN_BLOCK).contains(&run_block),
             "run-block length must lie in [1, {MAX_RUN_BLOCK}], got {run_block}"
         );
         Ok(Self {
@@ -334,10 +334,14 @@ impl TrainingSet {
             let base = tail * rb * nf;
             // lint: hot-path
             for f in (1..nf).rev() {
-                self.columns
-                    .copy_within(base + f * old_in..base + f * old_in + old_in, base + f * new_in);
-                self.order
-                    .copy_within(base + f * old_in..base + f * old_in + old_in, base + f * new_in);
+                self.columns.copy_within(
+                    base + f * old_in..base + f * old_in + old_in,
+                    base + f * new_in,
+                );
+                self.order.copy_within(
+                    base + f * old_in..base + f * old_in + old_in,
+                    base + f * new_in,
+                );
             }
         }
 
@@ -367,7 +371,7 @@ impl TrainingSet {
         let nf = self.num_features;
         let columns = &self.columns;
         let order = &mut self.order;
-        for b in first_block..(self.num_samples + rb - 1) / rb {
+        for b in first_block..self.num_samples.div_ceil(rb) {
             let len = (self.num_samples - b * rb).min(rb);
             let base = b * rb * nf;
             // lint: hot-path
@@ -461,7 +465,7 @@ impl TrainingSet {
 
     /// Number of storage blocks (`ceil(len / run_block)`).
     pub(crate) fn num_blocks(&self) -> usize {
-        (self.num_samples + self.run_block - 1) / self.run_block
+        self.num_samples.div_ceil(self.run_block)
     }
 
     /// Sample count of block `b` (only the last block may be partial).
@@ -967,11 +971,7 @@ pub(crate) fn fit_tree_jobs(
 ) -> Result<Vec<NodeArena>, MlError> {
     let mut narrow = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let sel: usize = job
-            .blocks
-            .iter()
-            .map(|&b| set.block_len(b as usize))
-            .sum();
+        let sel: usize = job.blocks.iter().map(|&b| set.block_len(b as usize)).sum();
         narrow.push(match width {
             IdWidth::Auto => sel < NARROW_LIMIT,
             IdWidth::Wide => false,
@@ -1328,7 +1328,9 @@ mod tests {
         Dataset::new(rows, labels).unwrap()
     }
 
-    /// Deterministic pseudo-random row-major matrix plus labels.
+    /// Deterministic pseudo-random row-major matrix plus labels (only the
+    /// debug-build comparison-count tests use it).
+    #[cfg(debug_assertions)]
     fn hashed_rows(n: usize, num_features: usize) -> (Vec<f64>, Vec<bool>) {
         let mut rows = Vec::with_capacity(n * num_features);
         for i in 0..n * num_features {
@@ -1365,8 +1367,7 @@ mod tests {
         assert_eq!(set.value(1, 0), 0.5);
 
         // Two-sample blocks: runs hold block-relative ids.
-        let set =
-            TrainingSet::from_rows_in_blocks(&rows, 2, &[true, false, true], 2).unwrap();
+        let set = TrainingSet::from_rows_in_blocks(&rows, 2, &[true, false, true], 2).unwrap();
         assert_eq!(set.num_blocks(), 2);
         assert_eq!((set.block_len(0), set.block_len(1)), (2, 1));
         assert_eq!(set.block_run(0, 0), &[1, 0]); // block 0 col 0 holds [3, 1]
@@ -1458,8 +1459,7 @@ mod tests {
                 reference,
                 "run block {rb}"
             );
-            let wide =
-                train_forest_with_width(&blocked, &config, 11, IdWidth::Wide).unwrap();
+            let wide = train_forest_with_width(&blocked, &config, 11, IdWidth::Wide).unwrap();
             assert_eq!(wide, reference, "run block {rb} (wide)");
         }
     }

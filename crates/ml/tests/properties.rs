@@ -525,9 +525,7 @@ fn append_vs_rebuild_is_bit_identical_crossing_the_65536_boundary() {
     let (rows, labels) = boundary_rows(70_000);
     let cut = 65_000; // below the boundary; the append crosses it
     let mut grown = TrainingSet::from_rows(&rows[..cut * 2], 2, &labels[..cut]).unwrap();
-    grown
-        .append_rows(&rows[cut * 2..], &labels[cut..])
-        .unwrap();
+    grown.append_rows(&rows[cut * 2..], &labels[cut..]).unwrap();
     let rebuilt = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
     assert_eq!(grown, rebuilt);
 

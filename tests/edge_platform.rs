@@ -278,9 +278,13 @@ fn quality_gate_budget_matches_the_real_snapshot_and_feature_layout() {
 
     // The scratch formula's feature count is the quality module's, not a
     // copy that can drift; spelled out: one live f64 indicator row, one
-    // verdict byte per second, one corrected 4 s two-channel f64 window.
+    // verdict byte per second, one corrected 4 s two-channel f64 window and
+    // the quality kernel's one-channel 4 s f64 step buffer.
     let scratch = memory.quality_scratch_bytes(1200.0);
-    assert_eq!(scratch, NUM_QUALITY_FEATURES * 8 + 1200 + 4 * 256 * 2 * 8);
+    assert_eq!(
+        scratch,
+        NUM_QUALITY_FEATURES * 8 + 1200 + 4 * 256 * 2 * 8 + 4 * 256 * 8
+    );
 
     // Gated budget = snapshot budget + gate block in Flash + scratch in RAM,
     // and a 20-minute gated wearable still fits the STM32L151 outright.
