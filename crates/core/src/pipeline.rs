@@ -16,9 +16,7 @@ use seizure_data::sampler::EegRecord;
 use seizure_features::extractor::RichFeatureSet;
 use seizure_features::FeatureError;
 use seizure_ml::metrics::ConfusionMatrix;
-use seizure_ml::persist::journal::{
-    self, CompactionPolicy, DeltaSave, DeltaState, JournalReplayReport, JournalWriter,
-};
+use seizure_ml::persist::journal::{self, JournalReplayReport, JournalWriter};
 use seizure_ml::persist::store::{Flash, FlashGeometry, FlashStore, StoreSave};
 use seizure_ml::persist::{PersistError, SnapshotKind, SnapshotReader, SnapshotWriter};
 
@@ -111,13 +109,14 @@ pub struct SelfLearningPipeline {
     produced_labels: Vec<SeizureLabel>,
     /// Extraction state reused across every record the pipeline touches.
     workspace: FeatureWorkspace,
-    /// Delta-journal state armed by [`SelfLearningPipeline::save_delta`] /
-    /// [`SelfLearningPipeline::resume_with_journal`]; `None` while the
-    /// pipeline persists through full snapshots only. The pipeline keeps
-    /// its own journal rather than arming the detector's: each entry
-    /// additionally carries the produced seizure label as its annotation,
-    /// so a resume also restores the seizure counter and label history.
-    delta: Option<DeltaState>,
+    /// Journal of the batches learned since the store's committed base,
+    /// armed by [`SelfLearningPipeline::init_store`] /
+    /// [`SelfLearningPipeline::resume_from_store`]; `None` while the
+    /// pipeline persists through byte snapshots only. Each entry carries the
+    /// produced seizure label and the gate reference as its annotation, so a
+    /// resume also restores the seizure counter, the label history and the
+    /// gate calibration.
+    journal: Option<JournalWriter>,
 }
 
 /// Fraction of `Reject` windows above which a reported record is quarantined
@@ -187,7 +186,7 @@ impl SelfLearningPipeline {
             num_quarantined: 0,
             produced_labels: Vec::new(),
             workspace: FeatureWorkspace::new(),
-            delta: None,
+            journal: None,
         }
     }
 
@@ -421,16 +420,15 @@ impl SelfLearningPipeline {
             .retrain_incremental(&self.batch_rows, num_features, &self.batch_labels)?;
         self.num_seizures += 1;
         self.produced_labels.push(*label);
-        // With delta persistence armed, journal the staged batch together
-        // with the produced label and the gate's post-record amplitude
-        // reference, so the next `save_delta` appends O(batch) bytes and a
-        // resume restores the counter, the label history and the gate
-        // calibration.
-        if let Some(delta) = &mut self.delta {
+        // With a store armed, journal the staged batch together with the
+        // produced label and the gate's post-record amplitude reference, so
+        // the next `save_to_store` appends O(batch) bytes and a resume
+        // restores the counter, the label history and the gate calibration.
+        if let Some(writer) = &mut self.journal {
             let gate = self.detector.quality_gate();
             let annotation =
                 encode_annotation(label, gate.reference_log_std(), gate.calibration_weight());
-            delta.writer.append_with(
+            writer.append_with(
                 &self.batch_rows,
                 num_features,
                 &self.batch_labels,
@@ -534,45 +532,22 @@ impl SelfLearningPipeline {
             num_quarantined,
             produced_labels,
             workspace: FeatureWorkspace::new(),
-            delta: None,
+            journal: None,
         })
     }
 
-    /// Per-seizure persistence: the pipeline twin of
-    /// [`RealTimeDetector::save_delta`]. The first call returns
-    /// [`DeltaSave::Full`] (write as the base snapshot, erase the journal
-    /// region); afterwards each learned seizure costs one O(batch)
-    /// [`DeltaSave::Append`], until the [`CompactionPolicy`] folds the
-    /// journal into a fresh full base. Restore with
-    /// [`SelfLearningPipeline::resume_with_journal`].
-    pub fn save_delta(&mut self) -> DeltaSave {
-        self.save_delta_with(CompactionPolicy::default())
-    }
-
-    /// [`SelfLearningPipeline::save_delta`] under an explicit compaction
-    /// policy.
-    pub fn save_delta_with(&mut self, policy: CompactionPolicy) -> DeltaSave {
-        if let Some(save) = self.delta.as_mut().and_then(|d| d.save(policy)) {
-            return save;
-        }
-        self.rebase_delta()
-    }
-
-    /// Writes a fresh full base snapshot and arms an empty journal over it.
-    fn rebase_delta(&mut self) -> DeltaSave {
+    /// Serializes a fresh base snapshot and arms an empty journal over it.
+    fn rebase(&mut self) -> Vec<u8> {
         let base = self.save();
         let writer = JournalWriter::new(&base, self.training_windows())
             .expect("save emits a valid envelope");
-        self.delta = Some(DeltaState {
-            writer,
-            base_len: base.len(),
-        });
-        DeltaSave::Full(base)
+        self.journal = Some(writer);
+        base
     }
 
     /// Formats `flash` as a crash-proof A/B [`FlashStore`], commits the
-    /// pipeline's current state as the first base and arms delta
-    /// persistence — the first-boot counterpart of
+    /// pipeline's current state as the first base and arms the journal —
+    /// the first-boot counterpart of
     /// [`SelfLearningPipeline::resume_from_store`].
     ///
     /// # Errors
@@ -584,91 +559,72 @@ impl SelfLearningPipeline {
         flash: F,
         geometry: FlashGeometry,
     ) -> Result<FlashStore<F>, CoreError> {
-        let DeltaSave::Full(base) = self.rebase_delta() else {
-            unreachable!("rebase always yields a full snapshot");
-        };
+        let base = self.rebase();
         Ok(FlashStore::format(flash, geometry, &base)?)
     }
 
-    /// Persists the pipeline through a crash-proof [`FlashStore`], with the
-    /// same Clean / Append / A-B-compact state machine as
-    /// [`crate::realtime::RealTimeDetector::save_to_store`]; each learned
-    /// seizure costs one O(batch) journal append until the store's
-    /// capacity-derived policy folds the journal into the inactive slot.
+    /// Persists the pipeline through a crash-proof [`FlashStore`]. A clean
+    /// state writes nothing; each learned seizure costs one O(batch)
+    /// journal append; once the journal reaches the store's
+    /// [`FlashStore::should_compact`] threshold (or one entry outgrows the
+    /// region), or when no journal is armed yet, the state is compacted
+    /// into the inactive base slot.
+    ///
+    /// A power loss at **any byte** of the underlying writes leaves the
+    /// previous or the new state recoverable by [`FlashStore::mount`] +
+    /// [`SelfLearningPipeline::resume_from_store`].
     ///
     /// # Errors
     ///
-    /// [`CoreError::Persist`] for store or Flash failures; after an error
-    /// recover by remounting and resuming, as a device would post-crash.
+    /// [`CoreError::Persist`] for store or Flash failures. After an error
+    /// the in-RAM journal may be ahead of the device; recover by remounting
+    /// and resuming, as a device would post-crash.
     pub fn save_to_store<F: Flash>(
         &mut self,
         store: &mut FlashStore<F>,
     ) -> Result<StoreSave, CoreError> {
-        match self.save_delta_with(store.compaction_policy()) {
-            DeltaSave::Clean => Ok(StoreSave::Clean),
-            DeltaSave::Full(base) => {
-                store.commit_base(&base)?;
-                Ok(StoreSave::Rebased)
+        if let Some(writer) = &mut self.journal {
+            if writer.unflushed().is_empty() {
+                return Ok(StoreSave::Clean);
             }
-            DeltaSave::Append(entry) => {
-                if entry.len() <= store.journal_remaining() {
-                    store.append_journal(&entry)?;
-                    Ok(StoreSave::Appended)
-                } else {
-                    let DeltaSave::Full(base) = self.rebase_delta() else {
-                        unreachable!("rebase always yields a full snapshot");
-                    };
-                    store.commit_base(&base)?;
-                    Ok(StoreSave::Rebased)
-                }
+            if !store.should_compact(writer.len())
+                && writer.unflushed().len() <= store.journal_remaining()
+            {
+                store.append_journal(&writer.take_unflushed())?;
+                return Ok(StoreSave::Appended);
             }
         }
+        let base = self.rebase();
+        store.commit_base(&base)?;
+        Ok(StoreSave::Rebased)
     }
 
-    /// Restores a pipeline from a mounted [`FlashStore`]: replays the
-    /// journal prefix the store arbitrated onto the committed base
-    /// (re-learning each journaled seizure) and arms delta persistence for
-    /// the next [`SelfLearningPipeline::save_to_store`].
+    /// Restores a pipeline from a mounted [`FlashStore`] and arms the
+    /// journal for the next [`SelfLearningPipeline::save_to_store`]. Each
+    /// journal entry the store arbitrated re-applies its balanced batch
+    /// through the incremental trainer **and** restores the produced label,
+    /// the seizure counter and the quality gate's amplitude reference from
+    /// its annotation, so the resumed pipeline is state-identical to the one
+    /// that never powered down. (The quarantine counter is the one
+    /// best-effort field: quarantined records train nothing and therefore
+    /// journal nothing, so quarantines that happened after the base snapshot
+    /// are not recounted on replay.)
     ///
     /// # Errors
     ///
-    /// [`CoreError::Persist`] under the same conditions as
-    /// [`SelfLearningPipeline::resume_with_journal`].
+    /// Returns [`CoreError::Persist`] for a malformed base snapshot, for
+    /// journal corruption that is not a clean tail tear, for entries that do
+    /// not belong (wrong base fingerprint, wrong pool position, or a batch
+    /// the trainer no longer accepts) and for entries whose annotation is
+    /// not a valid seizure label — never a panic, and a batch is never
+    /// half-applied.
     pub fn resume_from_store<F: Flash>(
         store: &FlashStore<F>,
     ) -> Result<(Self, JournalReplayReport), CoreError> {
         let base = store.base()?;
-        let journal_bytes = store.journal()?;
-        Self::resume_with_journal(&base, &journal_bytes)
-    }
-
-    /// Restores a pipeline from a base snapshot plus its delta journal and
-    /// arms delta persistence for the next
-    /// [`SelfLearningPipeline::save_delta`]. Each journal entry re-applies
-    /// its balanced batch through the incremental trainer **and** restores
-    /// the produced label, the seizure counter and the quality gate's
-    /// amplitude reference from its annotation, so the resumed pipeline is
-    /// state-identical to the one that never powered down. (The quarantine
-    /// counter is the one best-effort field: quarantined records train
-    /// nothing and therefore journal nothing, so quarantines that happened
-    /// after the base snapshot are not recounted on replay.) A torn final
-    /// entry (power loss mid-append) is dropped; the
-    /// report's `valid_len` says where to truncate the journal file before
-    /// appending again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Persist`] under the same conditions as
-    /// [`RealTimeDetector::load_with_journal`], plus entries whose
-    /// annotation is not a valid seizure label — never a panic, and a batch
-    /// is never half-applied.
-    pub fn resume_with_journal(
-        base: &[u8],
-        journal_bytes: &[u8],
-    ) -> Result<(Self, JournalReplayReport), CoreError> {
-        let mut pipeline = Self::resume(base)?;
-        let fingerprint = journal::base_fingerprint(base)?;
-        let scan = journal::scan_journal(journal_bytes)?;
+        let mut pipeline = Self::resume(&base)?;
+        let fingerprint = journal::base_fingerprint(&base)?;
+        let scan = journal::scan_journal(&store.journal()?)?;
         for (i, entry) in scan.entries.iter().enumerate() {
             let (label, gate_ref, gate_weight) = decode_annotation(&entry.annotation, i)?;
             pipeline
@@ -683,15 +639,12 @@ impl SelfLearningPipeline {
             pipeline.num_seizures += 1;
             pipeline.produced_labels.push(label);
         }
-        pipeline.delta = Some(DeltaState {
-            writer: JournalWriter::resume(
-                fingerprint,
-                pipeline.training_windows(),
-                scan.valid_len,
-                scan.entries.len(),
-            ),
-            base_len: base.len(),
-        });
+        pipeline.journal = Some(JournalWriter::resume(
+            fingerprint,
+            pipeline.training_windows(),
+            scan.valid_len,
+            scan.entries.len(),
+        ));
         Ok((
             pipeline,
             JournalReplayReport {
@@ -1193,130 +1146,6 @@ mod tests {
         assert_eq!(resumed.num_seizures_collected(), 2);
     }
 
-    #[test]
-    fn pipeline_delta_saves_resume_with_labels_and_counters() {
-        let cohort = Cohort::chb_mit_like(29);
-        let config = small_sample_config();
-        let patient = 8;
-        let w = cohort.average_seizure_duration(patient).unwrap();
-        let mut pipeline =
-            SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
-
-        // Seizure 1, then the first delta save: a full base.
-        let record = cohort.sample_record(patient, 0, &config, 31).unwrap();
-        pipeline
-            .observe_missed_seizure(&record, w, LabelSource::Algorithm)
-            .unwrap();
-        let base = match pipeline.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("first delta save must be full, got {other:?}"),
-        };
-        assert_eq!(pipeline.save_delta(), DeltaSave::Clean);
-
-        // Seizure 2: an O(batch) append. With only one seizure in the base,
-        // the batch is a large fraction of the pool and the default policy
-        // would legitimately compact — a lenient one pins the append
-        // outcome this early-life test is about.
-        let lenient = CompactionPolicy {
-            max_journal_fraction: 100.0,
-            ..CompactionPolicy::default()
-        };
-        let second = cohort.sample_record(patient, 1, &config, 32).unwrap();
-        pipeline
-            .observe_missed_seizure(&second, w, LabelSource::Algorithm)
-            .unwrap();
-        let journal = match pipeline.save_delta_with(lenient) {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("steady-state delta save must append, got {other:?}"),
-        };
-        assert!(
-            journal.len() < base.len(),
-            "append of {} bytes vs base of {}",
-            journal.len(),
-            base.len()
-        );
-
-        // Resume: detections, counter and label history all come back.
-        let (mut resumed, report) =
-            SelfLearningPipeline::resume_with_journal(&base, &journal).unwrap();
-        assert_eq!(report.entries_applied, 1);
-        assert_eq!(report.torn_bytes, 0);
-        assert_eq!(resumed.num_seizures_collected(), 2);
-        assert_eq!(resumed.produced_labels(), pipeline.produced_labels());
-        assert_eq!(resumed.training_windows(), pipeline.training_windows());
-        assert_eq!(
-            resumed.detector().flat_forest(),
-            pipeline.detector().flat_forest()
-        );
-        let held_out = cohort.sample_record(patient, 2, &config, 33).unwrap();
-        assert_eq!(
-            resumed.detector().detect(held_out.signal()).unwrap(),
-            pipeline.detector().detect(held_out.signal()).unwrap()
-        );
-
-        // The resumed pipeline keeps journaling: learn from the held-out
-        // seizure on both sides and compare the next appended entry.
-        pipeline
-            .observe_missed_seizure(&held_out, w, LabelSource::Algorithm)
-            .unwrap();
-        resumed
-            .observe_missed_seizure(&held_out, w, LabelSource::Algorithm)
-            .unwrap();
-        let a = pipeline.save_delta_with(lenient);
-        let b = resumed.save_delta_with(lenient);
-        assert!(matches!(a, DeltaSave::Append(_)));
-        assert_eq!(a, b, "resumed journal must continue the same sequence");
-    }
-
-    #[test]
-    fn pipeline_torn_journal_drops_the_lost_seizure_only() {
-        let cohort = Cohort::chb_mit_like(30);
-        let config = small_sample_config();
-        let patient = 8;
-        let w = cohort.average_seizure_duration(patient).unwrap();
-        let mut pipeline =
-            SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
-        let record = cohort.sample_record(patient, 0, &config, 41).unwrap();
-        pipeline
-            .observe_missed_seizure(&record, w, LabelSource::Algorithm)
-            .unwrap();
-        let base = match pipeline.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-        let second = cohort.sample_record(patient, 1, &config, 42).unwrap();
-        pipeline
-            .observe_missed_seizure(&second, w, LabelSource::Algorithm)
-            .unwrap();
-        let lenient = CompactionPolicy {
-            max_journal_fraction: 100.0,
-            ..CompactionPolicy::default()
-        };
-        let journal = match pipeline.save_delta_with(lenient) {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-
-        // Crash mid-append: the resumed pipeline holds exactly one seizure
-        // and reports where the journal file must be truncated.
-        let torn = &journal[..journal.len() - 7];
-        let (resumed, report) = SelfLearningPipeline::resume_with_journal(&base, torn).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert_eq!(report.valid_len, 0);
-        assert_eq!(report.torn_bytes, torn.len());
-        assert_eq!(resumed.num_seizures_collected(), 1);
-        assert_eq!(resumed.produced_labels().len(), 1);
-
-        // A corrupt annotation is a typed error, not a panic: flip a byte
-        // inside the entry and re-sign nothing — the checksum catches it.
-        let mut flipped = journal.clone();
-        flipped[journal.len() / 2] ^= 0x01;
-        assert!(matches!(
-            SelfLearningPipeline::resume_with_journal(&base, &flipped),
-            Err(CoreError::Persist(_))
-        ));
-    }
-
     /// The zero-copy pipeline snapshot (detector nested in place) must stay
     /// byte-identical to the copying path the format was defined with.
     #[test]
@@ -1404,15 +1233,26 @@ mod tests {
         assert!((0.0..=1.0).contains(&report.geometric_mean));
     }
 
+    /// Journal-entry size of learning `record`, measured on a throwaway
+    /// clone with the journal armed.
+    fn probe_entry_len(pipeline: &SelfLearningPipeline, record: &EegRecord, w: f64) -> usize {
+        let mut probe = pipeline.clone();
+        probe.rebase();
+        probe
+            .observe_missed_seizure(record, w, LabelSource::Algorithm)
+            .unwrap();
+        probe.journal.as_ref().map_or(0, |j| j.unflushed().len())
+    }
+
     #[test]
-    fn pipeline_store_round_trip_is_node_identical() {
+    fn pipeline_store_appends_resume_with_labels_and_counters() {
         let cohort = Cohort::chb_mit_like(29);
         let config = small_sample_config();
         let patient = 8;
         let w = cohort.average_seizure_duration(patient).unwrap();
         let mut pipeline =
             SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
-        let record = cohort.sample_record(patient, 0, &config, 51).unwrap();
+        let record = cohort.sample_record(patient, 0, &config, 31).unwrap();
         pipeline
             .observe_missed_seizure(&record, w, LabelSource::Algorithm)
             .unwrap();
@@ -1429,7 +1269,7 @@ mod tests {
         );
 
         // Seizure 2 is one O(batch) journal append.
-        let second = cohort.sample_record(patient, 1, &config, 52).unwrap();
+        let second = cohort.sample_record(patient, 1, &config, 32).unwrap();
         pipeline
             .observe_missed_seizure(&second, w, LabelSource::Algorithm)
             .unwrap();
@@ -1437,23 +1277,165 @@ mod tests {
             pipeline.save_to_store(&mut store).unwrap(),
             StoreSave::Appended
         );
+        assert_eq!(
+            pipeline.save_to_store(&mut store).unwrap(),
+            StoreSave::Clean
+        );
+        assert!(
+            store.journal_len() < store.base_len(),
+            "append of {} bytes vs base of {}",
+            store.journal_len(),
+            store.base_len()
+        );
 
-        // Power cycle: labels, counters and the forest all come back.
-        let (store, report) = FlashStore::mount(store.into_flash(), geometry).unwrap();
+        // Power cycle: detections, counter, labels and the forest come back.
+        let (mut store, report) = FlashStore::mount(store.into_flash(), geometry).unwrap();
         assert_eq!(report.journal_entries, 1);
-        let (resumed, replay) = SelfLearningPipeline::resume_from_store(&store).unwrap();
+        assert_eq!(report.journal_discarded, 0);
+        let (mut resumed, replay) = SelfLearningPipeline::resume_from_store(&store).unwrap();
         assert_eq!(replay.entries_applied, 1);
+        assert_eq!(replay.torn_bytes, 0);
         assert_eq!(resumed.num_seizures_collected(), 2);
         assert_eq!(resumed.produced_labels(), pipeline.produced_labels());
+        assert_eq!(resumed.training_windows(), pipeline.training_windows());
         assert_eq!(
             resumed.detector().flat_forest(),
             pipeline.detector().flat_forest()
         );
-        let held_out = cohort.sample_record(patient, 2, &config, 53).unwrap();
+        let held_out = cohort.sample_record(patient, 2, &config, 33).unwrap();
         assert_eq!(
             resumed.detector().detect(held_out.signal()).unwrap(),
             pipeline.detector().detect(held_out.signal()).unwrap()
         );
+        assert_eq!(resumed.save(), pipeline.save());
+
+        // The resumed pipeline keeps journaling the same sequence: learning
+        // the held-out seizure on both sides appends the same bytes.
+        let mut twin = FlashStore::mount(store.flash().clone(), geometry)
+            .unwrap()
+            .0;
+        pipeline
+            .observe_missed_seizure(&held_out, w, LabelSource::Algorithm)
+            .unwrap();
+        resumed
+            .observe_missed_seizure(&held_out, w, LabelSource::Algorithm)
+            .unwrap();
+        assert_eq!(
+            pipeline.save_to_store(&mut twin).unwrap(),
+            StoreSave::Appended
+        );
+        assert_eq!(
+            resumed.save_to_store(&mut store).unwrap(),
+            StoreSave::Appended
+        );
+        assert_eq!(
+            store.flash().image(),
+            twin.flash().image(),
+            "the resumed journal must continue the same sequence"
+        );
+    }
+
+    #[test]
+    fn pipeline_store_torn_append_drops_the_lost_seizure_only() {
+        let cohort = Cohort::chb_mit_like(30);
+        let config = small_sample_config();
+        let patient = 8;
+        let w = cohort.average_seizure_duration(patient).unwrap();
+        let mut pipeline =
+            SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
+        let record = cohort.sample_record(patient, 0, &config, 41).unwrap();
+        pipeline
+            .observe_missed_seizure(&record, w, LabelSource::Algorithm)
+            .unwrap();
+        let base_len = pipeline.save().len();
+        let geometry = FlashGeometry::for_base(base_len * 6, base_len * 4);
+        let store = pipeline
+            .init_store(FaultyFlash::new(geometry.total_bytes()), geometry)
+            .unwrap();
+        let committed = pipeline.save();
+
+        // Seizure 2's append loses power seven bytes short of its end.
+        let second = cohort.sample_record(patient, 1, &config, 42).unwrap();
+        pipeline
+            .observe_missed_seizure(&second, w, LabelSource::Algorithm)
+            .unwrap();
+        let entry_len = pipeline.journal.as_ref().unwrap().unflushed().len();
+        let flash =
+            FaultyFlash::from_image(store.flash().image().to_vec()).power_loss_after(entry_len - 7);
+        let mut store = FlashStore::mount(flash, geometry).unwrap().0;
+        assert!(pipeline.save_to_store(&mut store).is_err());
+
+        // Reboot: the torn entry is discarded and the pipeline holds exactly
+        // one seizure — the pre-save state.
+        let (mut store, report) = FlashStore::mount(store.into_flash().reboot(), geometry).unwrap();
+        assert_eq!(report.journal_entries, 0);
+        assert_eq!(report.journal_discarded, entry_len - 7);
+        let (resumed, replay) = SelfLearningPipeline::resume_from_store(&store).unwrap();
+        assert_eq!(replay.entries_applied, 0);
+        assert_eq!(resumed.num_seizures_collected(), 1);
+        assert_eq!(resumed.produced_labels().len(), 1);
+        assert_eq!(resumed.save(), committed);
+
+        // An entry whose annotation is not a seizure label is a typed error,
+        // not a panic: journal the batch bare, bound to the committed base.
+        let mut bare =
+            JournalWriter::new(&store.base().unwrap(), resumed.training_windows()).unwrap();
+        bare.append_retrain(
+            &pipeline.batch_rows,
+            RichFeatureSet::NUM_FEATURES,
+            &pipeline.batch_labels,
+        )
+        .unwrap();
+        store.append_journal(&bare.take_unflushed()).unwrap();
+        assert!(matches!(
+            SelfLearningPipeline::resume_from_store(&store),
+            Err(CoreError::Persist(_))
+        ));
+    }
+
+    #[test]
+    fn pipeline_store_compacts_into_the_inactive_slot_when_the_journal_fills() {
+        let cohort = Cohort::chb_mit_like(32);
+        let config = small_sample_config();
+        let patient = 8;
+        let w = cohort.average_seizure_duration(patient).unwrap();
+        let mut pipeline =
+            SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
+        let first = cohort.sample_record(patient, 0, &config, 70).unwrap();
+        pipeline
+            .observe_missed_seizure(&first, w, LabelSource::Algorithm)
+            .unwrap();
+        let records: Vec<_> = (1..4)
+            .map(|s| {
+                cohort
+                    .sample_record(patient, s % 3, &config, 70 + s as u64)
+                    .unwrap()
+            })
+            .collect();
+
+        // A journal region 2.5 entries wide: the store's geometry-derived
+        // rule must fold the state into the inactive slot mid-sequence.
+        let entry_len = probe_entry_len(&pipeline, &records[0], w);
+        let base_len = pipeline.save().len();
+        let geometry = FlashGeometry::for_base(base_len * 6, entry_len * 5 / 2);
+        let mut store = pipeline
+            .init_store(MemFlash::new(geometry.total_bytes()), geometry)
+            .unwrap();
+        assert_eq!(store.sequence(), 1);
+        let mut outcomes = Vec::new();
+        for record in &records {
+            pipeline
+                .observe_missed_seizure(record, w, LabelSource::Algorithm)
+                .unwrap();
+            outcomes.push(pipeline.save_to_store(&mut store).unwrap());
+        }
+        assert!(
+            outcomes.contains(&StoreSave::Appended) && outcomes.contains(&StoreSave::Rebased),
+            "the sequence must exercise both paths, got {outcomes:?}"
+        );
+        assert!(store.sequence() > 1, "compaction must bump the sequence");
+        let (store, _) = FlashStore::mount(store.into_flash(), geometry).unwrap();
+        let (resumed, _) = SelfLearningPipeline::resume_from_store(&store).unwrap();
         assert_eq!(resumed.save(), pipeline.save());
     }
 
@@ -1477,82 +1459,69 @@ mod tests {
             })
             .collect();
 
-        // Probe one appended entry on a throwaway clone to size a journal
-        // region that takes the first entry and compacts on the second.
-        let lenient = CompactionPolicy {
-            max_journal_fraction: 100.0,
-            ..CompactionPolicy::default()
-        };
-        let mut probe = pipeline.clone();
-        probe.save_delta();
-        probe
-            .observe_missed_seizure(&records[0], w, LabelSource::Algorithm)
-            .unwrap();
-        let entry_len = match probe.save_delta_with(lenient) {
-            DeltaSave::Append(bytes) => bytes.len(),
-            other => panic!("probe must append, got {other:?}"),
-        };
-
+        // A journal region that takes the first entry and compacts on the
+        // second.
+        let entry_len = probe_entry_len(&pipeline, &records[0], w);
         let base_len = pipeline.save().len();
         let geometry = FlashGeometry::for_base(base_len * 6, entry_len * 2);
         let mut store = pipeline
             .init_store(FaultyFlash::new(geometry.total_bytes()), geometry)
             .unwrap();
-        let armed = pipeline.clone();
         let image = store.flash().image().to_vec();
         let format_bytes = store.flash().bytes_written();
 
         // Fault-free reference pass: one append, then one A/B compaction.
+        // Each save's pre-save pipeline is kept, so a cut replays only the
+        // Flash writes (learning is deterministic and touches no Flash).
         let mut states = vec![pipeline.save()];
-        let mut op_end = Vec::new();
+        let mut pending = Vec::new();
         let mut outcomes = Vec::new();
         for record in &records {
             pipeline
                 .observe_missed_seizure(record, w, LabelSource::Algorithm)
                 .unwrap();
+            pending.push(pipeline.clone());
             outcomes.push(pipeline.save_to_store(&mut store).unwrap());
             states.push(pipeline.save());
-            op_end.push(store.flash().bytes_written() - format_bytes);
         }
         assert_eq!(
             outcomes,
             [StoreSave::Appended, StoreSave::Rebased],
-            "the cuts must target one append and one compaction"
+            "the cuts must cover one append and one compaction"
         );
+        let total = store.flash().bytes_written() - format_bytes;
 
-        // Cut each operation at 1/4, 1/2 and 3/4 of its write stream.
-        let mut cuts = Vec::new();
-        let mut start = 0;
-        for &end in &op_end {
-            for quarter in 1..4 {
-                cuts.push(start + (end - start) * quarter / 4);
-            }
-            start = end;
-        }
+        // A strided power-cut sweep across the whole write stream, plus one
+        // cut past its end (the byte-exact exhaustive sweep lives in
+        // seizure-ml's crash-injection suite).
+        let cuts: Vec<usize> = (0..=total)
+            .step_by((total / 48).max(1))
+            .chain([total + 1])
+            .collect();
+        assert!(cuts.len() >= 40, "only {} cuts", cuts.len());
         for cut in cuts {
             let flash = FaultyFlash::from_image(image.clone()).power_loss_after(cut);
-            let mut live = armed.clone();
-            let mut store = FlashStore::mount(flash, geometry).map(|(s, _)| s).unwrap();
-            let mut died_at = None;
-            for (i, record) in records.iter().enumerate() {
-                live.observe_missed_seizure(record, w, LabelSource::Algorithm)
-                    .unwrap();
-                if live.save_to_store(&mut store).is_err() {
-                    died_at = Some(i);
-                    break;
-                }
-            }
-            let i = died_at.unwrap_or_else(|| panic!("cut {cut} must kill a save"));
+            let mut store = FlashStore::mount(flash, geometry).unwrap().0;
+            let died_at = pending
+                .iter()
+                .position(|pre_save| pre_save.clone().save_to_store(&mut store).is_err());
             let (store, _) = FlashStore::mount(store.into_flash().reboot(), geometry)
                 .unwrap_or_else(|e| panic!("cut {cut}: store lost: {e}"));
             let (resumed, _) = SelfLearningPipeline::resume_from_store(&store)
                 .unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
             let observed = resumed.save();
-            assert!(
-                observed == states[i] || observed == states[i + 1],
-                "cut {cut}: crash during save {i} recovered neither the pre-save nor \
-                 the committed state"
-            );
+            match died_at {
+                Some(i) => assert!(
+                    observed == states[i] || observed == states[i + 1],
+                    "cut {cut}: crash during save {i} recovered neither the pre-save nor \
+                     the committed state"
+                ),
+                None => assert_eq!(
+                    &observed,
+                    states.last().unwrap(),
+                    "cut {cut}: a completed run must resume the final state"
+                ),
+            }
         }
     }
 }

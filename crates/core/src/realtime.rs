@@ -22,10 +22,7 @@ use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::metrics::ConfusionMatrix;
-use seizure_ml::persist::journal::{
-    self, CompactionPolicy, DeltaSave, DeltaState, JournalEntry, JournalReplayReport, JournalWriter,
-};
-use seizure_ml::persist::store::{Flash, FlashGeometry, FlashStore, StoreSave};
+use seizure_ml::persist::journal::{self, JournalEntry};
 use seizure_ml::persist::{self, PersistError, SnapshotKind, SnapshotReader, SnapshotWriter};
 use seizure_ml::training::{train_forest, TrainingSet};
 
@@ -264,10 +261,6 @@ pub struct RealTimeDetector {
     /// [`RealTimeDetector::retrain_incremental`]; `None` until the first
     /// incremental retrain.
     incremental: Option<IncrementalTrainer>,
-    /// Delta-journal state armed by [`RealTimeDetector::save_delta`] /
-    /// [`RealTimeDetector::load_with_journal`]; `None` while the detector
-    /// persists through full snapshots only.
-    delta: Option<DeltaState>,
     /// Calibrated signal-quality gate state (always present; only consulted
     /// when [`RealTimeDetectorConfig::quality_gate`] is on).
     gate: QualityGate,
@@ -282,7 +275,6 @@ impl RealTimeDetector {
             feature_means: Vec::new(),
             feature_stds: Vec::new(),
             incremental: None,
-            delta: None,
             gate: QualityGate::default(),
         }
     }
@@ -501,10 +493,8 @@ impl RealTimeDetector {
         self.flat = Some(train_forest(&set, &self.config.forest, self.config.seed)?);
         self.feature_means = means;
         self.feature_stds = stds;
-        // A full batch fit supersedes any incremental pool — and any delta
-        // journal bound to it; the next `save_delta` re-bases.
+        // A full batch fit supersedes any incremental pool.
         self.incremental = None;
-        self.delta = None;
         Ok(())
     }
 
@@ -560,12 +550,6 @@ impl RealTimeDetector {
         self.flat = Some(trainer.retrain(rows, num_features, labels)?);
         self.feature_means.clear();
         self.feature_stds.clear();
-        // With delta persistence armed, every accepted batch is journaled so
-        // the next `save_delta` is an O(batch) append instead of an O(pool)
-        // snapshot (`retrain` validated the shapes, so this cannot fail).
-        if let Some(delta) = &mut self.delta {
-            delta.writer.append_retrain(rows, num_features, labels)?;
-        }
         Ok(())
     }
 
@@ -1067,179 +1051,10 @@ impl RealTimeDetector {
         Ok(detector)
     }
 
-    /// Per-seizure persistence: returns the **delta** Flash write that makes
-    /// the detector's current state durable, instead of re-writing the whole
-    /// O(pool) snapshot every time.
-    ///
-    /// * The first call (or any call after [`RealTimeDetector::train_flat`]
-    ///   re-based the model) returns [`DeltaSave::Full`]: write these bytes
-    ///   as the base snapshot and erase the journal region.
-    /// * Steady state returns [`DeltaSave::Append`] with the journal entries
-    ///   recorded since the last save — O(batch) — to append to the journal
-    ///   region.
-    /// * Once the journal outgrows the [`CompactionPolicy`] (default
-    ///   policy; see [`RealTimeDetector::save_delta_with`]), the journal is
-    ///   folded into a fresh [`DeltaSave::Full`] base and starts empty
-    ///   again.
-    /// * With nothing new to persist it returns [`DeltaSave::Clean`].
-    ///
-    /// Restore with [`RealTimeDetector::load_with_journal`], handing it the
-    /// base region and the journal region.
-    pub fn save_delta(&mut self) -> DeltaSave {
-        self.save_delta_with(CompactionPolicy::default())
-    }
-
-    /// [`RealTimeDetector::save_delta`] under an explicit compaction policy.
-    pub fn save_delta_with(&mut self, policy: CompactionPolicy) -> DeltaSave {
-        if let Some(save) = self.delta.as_mut().and_then(|d| d.save(policy)) {
-            return save;
-        }
-        self.rebase_delta()
-    }
-
-    /// Writes a fresh full base snapshot and arms an empty journal over it.
-    fn rebase_delta(&mut self) -> DeltaSave {
-        let base = self.save_state();
-        let pool = self.incremental.as_ref().map_or(0, |t| t.num_samples());
-        let writer = JournalWriter::new(&base, pool).expect("save_state emits a valid envelope");
-        self.delta = Some(DeltaState {
-            writer,
-            base_len: base.len(),
-        });
-        DeltaSave::Full(base)
-    }
-
-    /// Formats `flash` as a crash-proof A/B [`FlashStore`], commits the
-    /// detector's current state as the first base and arms delta
-    /// persistence — the first-boot counterpart of
-    /// [`RealTimeDetector::resume_from_store`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] when the geometry does not fit the device or
-    /// the snapshot does not fit a slot.
-    pub fn init_store<F: Flash>(
-        &mut self,
-        flash: F,
-        geometry: FlashGeometry,
-    ) -> Result<FlashStore<F>, CoreError> {
-        let DeltaSave::Full(base) = self.rebase_delta() else {
-            unreachable!("rebase always yields a full snapshot");
-        };
-        Ok(FlashStore::format(flash, geometry, &base)?)
-    }
-
-    /// Persists the detector through a crash-proof [`FlashStore`]: a clean
-    /// state writes nothing, new batches append one O(batch) journal entry,
-    /// and once the journal passes the store's capacity-derived
-    /// [`FlashStore::compaction_policy`] (or a single entry outgrows the
-    /// region) the state is compacted into the inactive base slot.
-    ///
-    /// A power loss at **any byte** of the underlying writes leaves the
-    /// previous state recoverable by [`FlashStore::mount`] +
-    /// [`RealTimeDetector::resume_from_store`] — the crash-injection suite
-    /// sweeps every offset.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] for store or Flash failures. After an error
-    /// the in-RAM delta bookkeeping may be ahead of the device; recover by
-    /// remounting and resuming, as a real device would after the crash.
-    pub fn save_to_store<F: Flash>(
-        &mut self,
-        store: &mut FlashStore<F>,
-    ) -> Result<StoreSave, CoreError> {
-        match self.save_delta_with(store.compaction_policy()) {
-            DeltaSave::Clean => Ok(StoreSave::Clean),
-            DeltaSave::Full(base) => {
-                store.commit_base(&base)?;
-                Ok(StoreSave::Rebased)
-            }
-            DeltaSave::Append(entry) => {
-                if entry.len() <= store.journal_remaining() {
-                    store.append_journal(&entry)?;
-                    Ok(StoreSave::Appended)
-                } else {
-                    // One batch outgrew the whole journal region: fold the
-                    // current state into a fresh base instead of failing.
-                    let DeltaSave::Full(base) = self.rebase_delta() else {
-                        unreachable!("rebase always yields a full snapshot");
-                    };
-                    store.commit_base(&base)?;
-                    Ok(StoreSave::Rebased)
-                }
-            }
-        }
-    }
-
-    /// Restores a detector from a mounted [`FlashStore`]: replays the
-    /// journal prefix the store arbitrated onto the committed base and arms
-    /// delta persistence for the next
-    /// [`RealTimeDetector::save_to_store`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] under the same conditions as
-    /// [`RealTimeDetector::load_with_journal`].
-    pub fn resume_from_store<F: Flash>(
-        store: &FlashStore<F>,
-    ) -> Result<(Self, JournalReplayReport), CoreError> {
-        let base = store.base()?;
-        let journal_bytes = store.journal()?;
-        Self::load_with_journal(&base, &journal_bytes)
-    }
-
-    /// Restores a detector from a base snapshot plus its delta journal and
-    /// arms delta persistence so the next
-    /// [`RealTimeDetector::save_delta`] keeps appending to the same journal.
-    /// Replay re-applies each journaled batch through
-    /// [`RealTimeDetector::retrain_incremental`], so the restored detector
-    /// is node-identical to the one that never powered down. A torn final
-    /// entry (power loss mid-append) is dropped; the report's `valid_len`
-    /// tells the device where to truncate its journal file before appending
-    /// again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Persist`] for a malformed base snapshot, for
-    /// journal corruption that is not a clean tail tear (bad magic, foreign
-    /// version, checksum mismatch, wrong kind), and for entries that do not
-    /// belong (wrong base fingerprint, wrong pool position, or a batch the
-    /// trainer no longer accepts) — never a panic, and a batch is never
-    /// half-applied.
-    pub fn load_with_journal(
-        base: &[u8],
-        journal_bytes: &[u8],
-    ) -> Result<(Self, JournalReplayReport), CoreError> {
-        let mut detector = Self::load_state(base)?;
-        let fingerprint = journal::base_fingerprint(base)?;
-        let scan = journal::scan_journal(journal_bytes)?;
-        for (i, entry) in scan.entries.iter().enumerate() {
-            detector.apply_journal_entry(entry, fingerprint, i)?;
-        }
-        detector.delta = Some(DeltaState {
-            writer: JournalWriter::resume(
-                fingerprint,
-                detector.incremental.as_ref().map_or(0, |t| t.num_samples()),
-                scan.valid_len,
-                scan.entries.len(),
-            ),
-            base_len: base.len(),
-        });
-        Ok((
-            detector,
-            JournalReplayReport {
-                entries_applied: scan.entries.len(),
-                valid_len: scan.valid_len,
-                torn_bytes: scan.torn_bytes,
-            },
-        ))
-    }
-
     /// Validates one journal entry's bindings against this detector
     /// (sharing `journal::validate_entry` with the bare trainer-level
     /// replay, so the rules cannot diverge) and re-applies its batch. Used
-    /// by the detector- and pipeline-level journal restores.
+    /// by the pipeline's store resume.
     pub(crate) fn apply_journal_entry(
         &mut self,
         entry: &JournalEntry,
@@ -1559,7 +1374,6 @@ mod tests {
     use super::*;
     use seizure_data::cohort::Cohort;
     use seizure_data::sampler::SampleConfig;
-    use seizure_ml::persist::store::{FaultyFlash, MemFlash};
 
     fn record_and_truth(seed: u64) -> (seizure_data::sampler::EegRecord, SeizureLabel) {
         let cohort = Cohort::chb_mit_like(3);
@@ -1907,189 +1721,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_saves_are_o_batch_and_resume_node_identically() {
-        let (record, truth) = record_and_truth(12);
-        let config = fast_config();
-        let mut detector = RealTimeDetector::new(config);
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        // Grow most of the pool first so the append is batch-sized relative
-        // to it (the steady state the delta save exists for).
-        let cut = balanced.len() * 3 / 4;
-
-        // First save: a full base snapshot; nothing new afterwards: clean.
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let base = match detector.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("first delta save must be full, got {other:?}"),
-        };
-        assert_eq!(detector.save_delta(), DeltaSave::Clean);
-
-        // The per-seizure save is an O(batch) append, not an O(pool) write.
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let journal = match detector.save_delta() {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("steady-state delta save must append, got {other:?}"),
-        };
-        assert!(
-            journal.len() < base.len() / 2,
-            "append of {} bytes vs base of {}",
-            journal.len(),
-            base.len()
-        );
-        assert_eq!(detector.save_delta(), DeltaSave::Clean);
-
-        // Resume from base + journal: node-identical to the uninterrupted
-        // detector, and still learning (the next save appends again).
-        let (mut resumed, report) = RealTimeDetector::load_with_journal(&base, &journal).unwrap();
-        assert_eq!(report.entries_applied, 1);
-        assert_eq!(report.torn_bytes, 0);
-        assert_eq!(report.valid_len, journal.len());
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            detector.incremental_trainer()
-        );
-        assert_eq!(
-            resumed.detect(record.signal()).unwrap(),
-            detector.detect(record.signal()).unwrap()
-        );
-        resumed
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        // A lenient policy pins the append outcome (under the default, a
-        // journal grown past half the base would legitimately compact).
-        let lenient = CompactionPolicy {
-            max_journal_fraction: 100.0,
-            ..CompactionPolicy::default()
-        };
-        assert!(matches!(
-            resumed.save_delta_with(lenient),
-            DeltaSave::Append(_)
-        ));
-    }
-
-    #[test]
-    fn torn_journal_tail_is_dropped_on_load() {
-        let (record, truth) = record_and_truth(13);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() * 3 / 4;
-
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let base = match detector.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-        let before_append = detector.clone();
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let journal = match detector.save_delta() {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-
-        // Power fails halfway through the append: the torn entry is dropped
-        // and the detector is exactly the pre-append one.
-        let torn = &journal[..journal.len() / 2];
-        let (resumed, report) = RealTimeDetector::load_with_journal(&base, torn).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert_eq!(report.valid_len, 0);
-        assert_eq!(report.torn_bytes, torn.len());
-        assert_eq!(resumed.flat_forest(), before_append.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            before_append.incremental_trainer()
-        );
-
-        // Corruption that is not a tail tear stays a typed error.
-        let mut flipped = journal.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x08;
-        assert!(matches!(
-            RealTimeDetector::load_with_journal(&base, &flipped),
-            Err(CoreError::Persist(_))
-        ));
-        // A journal against the wrong base is rejected, not misapplied.
-        let mut other = RealTimeDetector::new(fast_config());
-        other
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        other
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let other_base = match other.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-        assert!(matches!(
-            RealTimeDetector::load_with_journal(&other_base, &journal),
-            Err(CoreError::Persist(_))
-        ));
-    }
-
-    #[test]
-    fn journal_compaction_folds_into_a_fresh_base() {
-        let (record, truth) = record_and_truth(14);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-
-        // A policy that compacts as soon as any entry lands.
-        let eager = CompactionPolicy {
-            max_journal_fraction: 0.0,
-            min_journal_bytes: 0,
-        };
-        assert!(matches!(
-            detector.save_delta_with(eager),
-            DeltaSave::Full(_)
-        ));
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let compacted = match detector.save_delta_with(eager) {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("eager policy must compact, got {other:?}"),
-        };
-        // The fresh base resumes with an empty journal.
-        let (resumed, report) = RealTimeDetector::load_with_journal(&compacted, &[]).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-
-        // And a batch retrain invalidates delta state: the next save
-        // re-bases instead of appending to a journal of a dead pool.
-        detector.train(&balanced).unwrap();
-        assert!(matches!(detector.save_delta(), DeltaSave::Full(_)));
-    }
-
-    #[test]
     fn corrupt_detector_snapshots_are_rejected() {
         let detector = RealTimeDetector::new(fast_config());
         let mut bytes = detector.save_state();
@@ -2104,183 +1735,6 @@ mod tests {
             Err(CoreError::Persist(_))
         ));
         assert!(RealTimeDetector::load_state(b"not a snapshot, not even close").is_err());
-    }
-
-    /// A detector with most of its pool grown, plus the remaining balanced
-    /// rows split into `parts` retrain batches.
-    #[allow(clippy::type_complexity)]
-    fn detector_and_batches(
-        seed: u64,
-        parts: usize,
-    ) -> (RealTimeDetector, Vec<(Vec<f64>, Vec<bool>)>, usize) {
-        let (record, truth) = record_and_truth(seed);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let per = (balanced.len() - cut).div_ceil(parts).max(1);
-        let mut batches = Vec::new();
-        let mut at = cut;
-        while at < balanced.len() {
-            let to = (at + per).min(balanced.len());
-            batches.push((rows[at * nf..to * nf].to_vec(), labels[at..to].to_vec()));
-            at = to;
-        }
-        (detector, batches, nf)
-    }
-
-    #[test]
-    fn store_round_trip_keeps_the_detector_node_identical() {
-        let (mut detector, batches, nf) = detector_and_batches(21, 2);
-        let base_capacity = detector.save_state().len() * 2;
-        let geometry = FlashGeometry::for_base(base_capacity, 64 * 1024);
-        let mut store = detector
-            .init_store(MemFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-        assert_eq!(store.sequence(), 1);
-        assert_eq!(
-            detector.save_to_store(&mut store).unwrap(),
-            StoreSave::Clean
-        );
-
-        // Steady state: each batch costs one O(batch) journal append.
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            assert_eq!(
-                detector.save_to_store(&mut store).unwrap(),
-                StoreSave::Appended
-            );
-        }
-        assert_eq!(store.journal_entries(), batches.len());
-
-        // Power cycle: mount + resume is node-identical.
-        let geometry = *store.geometry();
-        let (store, report) = FlashStore::mount(store.into_flash(), geometry).unwrap();
-        assert_eq!(report.journal_entries, batches.len());
-        let (resumed, replay) = RealTimeDetector::resume_from_store(&store).unwrap();
-        assert_eq!(replay.entries_applied, batches.len());
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            detector.incremental_trainer()
-        );
-        assert_eq!(resumed.save_state(), detector.save_state());
-    }
-
-    /// Journal-entry size for one batch, measured on a throwaway clone.
-    fn probe_entry_len(
-        detector: &RealTimeDetector,
-        batch: &(Vec<f64>, Vec<bool>),
-        nf: usize,
-    ) -> usize {
-        let mut probe = detector.clone();
-        probe.save_delta();
-        probe.retrain_incremental(&batch.0, nf, &batch.1).unwrap();
-        match probe.save_delta() {
-            DeltaSave::Append(bytes) => bytes.len(),
-            other => panic!("probe save must append, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn store_compacts_into_the_inactive_slot_when_the_journal_fills() {
-        let (mut detector, batches, nf) = detector_and_batches(22, 4);
-        let base_capacity = detector.save_state().len() * 2;
-        // A journal region 2.5 entries wide: the store's capacity-derived
-        // policy must fold the state into the inactive slot mid-sequence.
-        let entry_len = probe_entry_len(&detector, &batches[0], nf);
-        let geometry = FlashGeometry::for_base(base_capacity, entry_len * 5 / 2);
-        let mut store = detector
-            .init_store(MemFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-
-        let mut outcomes = Vec::new();
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            outcomes.push(detector.save_to_store(&mut store).unwrap());
-        }
-        assert!(
-            outcomes.contains(&StoreSave::Appended) && outcomes.contains(&StoreSave::Rebased),
-            "the sequence must exercise both paths, got {outcomes:?}"
-        );
-        assert!(store.sequence() > 1, "compaction must bump the sequence");
-        let (resumed, _) = RealTimeDetector::resume_from_store(&store).unwrap();
-        assert_eq!(resumed.save_state(), detector.save_state());
-    }
-
-    #[test]
-    fn store_crash_at_any_write_byte_recovers_pre_or_post_state() {
-        let (mut detector, batches, nf) = detector_and_batches(23, 3);
-        let base_capacity = detector.save_state().len() * 2;
-
-        // Fault-free reference pass, sized so the middle batch forces an A/B
-        // compaction: record the expected snapshot after every operation.
-        let entry_len = probe_entry_len(&detector, &batches[0], nf);
-        let geometry = FlashGeometry::for_base(base_capacity, entry_len * 5 / 2);
-        let mut store = detector
-            .init_store(FaultyFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-        let armed = detector.clone();
-        let image = store.flash().image().to_vec();
-        let format_bytes = store.flash().bytes_written();
-        let mut states = vec![detector.save_state()];
-        let mut outcomes = Vec::new();
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            outcomes.push(detector.save_to_store(&mut store).unwrap());
-            states.push(detector.save_state());
-        }
-        let total_bytes = store.into_flash().bytes_written() - format_bytes;
-        assert!(
-            outcomes.contains(&StoreSave::Appended) && outcomes.contains(&StoreSave::Rebased),
-            "the sweep must cover both append and compaction, got {outcomes:?}"
-        );
-
-        // Sweep a power loss across the stream (strided — the byte-exact
-        // exhaustive sweep lives in seizure-ml's crash-injection suite).
-        let stride = (total_bytes / 40).max(1) | 1;
-        let mut cut = 0;
-        while cut <= total_bytes {
-            let flash = FaultyFlash::from_image(image.clone()).power_loss_after(cut);
-            let (mut live, mut store) = (
-                armed.clone(),
-                FlashStore::mount(flash, geometry).map(|(s, _)| s).unwrap(),
-            );
-            let mut died_at = None;
-            for (i, (rows, labels)) in batches.iter().enumerate() {
-                live.retrain_incremental(rows, nf, labels).unwrap();
-                if live.save_to_store(&mut store).is_err() {
-                    died_at = Some(i);
-                    break;
-                }
-            }
-            let (store, _) = FlashStore::mount(store.into_flash().reboot(), geometry)
-                .unwrap_or_else(|e| panic!("cut {cut}: store lost: {e}"));
-            let (resumed, _) = RealTimeDetector::resume_from_store(&store)
-                .unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
-            let observed = resumed.save_state();
-            match died_at {
-                Some(i) => assert!(
-                    observed == states[i] || observed == states[i + 1],
-                    "cut {cut}: crash during save {i} recovered neither the pre-save nor \
-                     the committed state"
-                ),
-                None => assert_eq!(
-                    &observed,
-                    states.last().unwrap(),
-                    "cut {cut}: completed run must resume the final state"
-                ),
-            }
-            cut += stride;
-        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! "A Self-Learning Methodology for Epileptic Seizure Detection with
 //! Minimally-Supervised Edge Labeling" (DATE 2019)*:
 //!
-//! * [`fft`] — iterative radix-2 fast Fourier transform with a DFT fallback for
-//!   arbitrary lengths, plus real-signal helpers.
+//! * [`fft`](mod@fft) — iterative radix-2 fast Fourier transform with a DFT
+//!   fallback for arbitrary lengths, plus real-signal helpers.
 //! * [`spectrum`] — periodogram and Welch power spectral density estimates and
 //!   frequency-band power integration.
 //! * [`wavelet`] — Daubechies-4 discrete wavelet transform, the multi-level

@@ -207,26 +207,6 @@ impl MemoryModel {
         Ok(budget)
     }
 
-    /// [`MemoryModel::budget_with_snapshot`] for delta persistence: Flash
-    /// holds the history buffer, the base snapshot **and** the journal
-    /// region the per-seizure appends grow into. `journal_bytes` is the
-    /// journal region's size (e.g. the compaction policy's worst case:
-    /// `max_journal_fraction` of the base, or the sum of
-    /// [`MemoryModel::journal_entry_bytes`] over the expected batches).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::InvalidParameter`] if the buffer duration is not
-    /// positive.
-    pub fn budget_with_journal(
-        &self,
-        buffer_secs: f64,
-        snapshot_bytes: usize,
-        journal_bytes: usize,
-    ) -> Result<MemoryBudget, EdgeError> {
-        self.budget_with_snapshot(buffer_secs, snapshot_bytes + journal_bytes)
-    }
-
     /// Exact Flash footprint of `seizure-ml`'s crash-proof A/B store
     /// (`persist::store::FlashStore`) holding base snapshots up to
     /// `base_capacity` bytes next to a `journal_bytes` journal region: two
@@ -240,8 +220,9 @@ impl MemoryModel {
         2 * (SLOT_HEADER + base_capacity) + journal_bytes
     }
 
-    /// [`MemoryModel::budget_with_journal`] for the crash-proof A/B store:
-    /// Flash holds the history buffer plus the full dual-slot image —
+    /// [`MemoryModel::budget_with_snapshot`] for the crash-proof A/B store,
+    /// the layout a device persists through: Flash holds the history buffer
+    /// plus the full dual-slot image —
     /// **two** base slots (so compaction can write the fresh snapshot beside
     /// the committed one instead of over it) and the journal region.
     /// Crash-proofing doubles the base-snapshot reservation; `fits_flash`
@@ -264,7 +245,7 @@ impl MemoryModel {
     }
 
     /// RAM scratch of the signal-quality front end over a `buffer_secs`
-    /// history buffer: one live `f64` row of [`QUALITY_FEATURES`] indicators
+    /// history buffer: one live `f64` row of `QUALITY_FEATURES` indicators
     /// (windows are assessed streaming, so only the current row is resident),
     /// a one-byte verdict per analysis step (one step per second, matching
     /// the detector's 4 s windows at 75 % overlap — the full verdict ribbon
@@ -315,9 +296,9 @@ impl MemoryModel {
     /// (`seizure-features`' `StreamingRichExtractor`) carries across hops
     /// for this platform's channel count: per channel, the linearized
     /// window ring buffer, `window / step` hop summaries
-    /// ([`HOP_SUMMARY_F64`] `f64` + [`HOP_SUMMARY_U32`] `u32` slots each),
+    /// (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32` slots each),
     /// the carried db4 coefficients (approximations on every level, details
-    /// from level [`STREAM_MIN_DETAIL_LEVEL`] up) and, when `hop_welch` is
+    /// from level `STREAM_MIN_DETAIL_LEVEL` up) and, when `hop_welch` is
     /// set, the ring of hop periodograms. The formula mirrors the extractor's
     /// own `state_bytes()` byte for byte (`tests/edge_platform.rs` pins the
     /// two against each other); transient FFT scratch is excluded on both
@@ -496,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_accounting_extends_the_snapshot_budget() {
+    fn journal_entry_accounting_stays_o_batch() {
         let model = model();
         // One balanced-seizure batch (~60 windows of 54 features) appends a
         // few tens of KB — an order of magnitude under the paper-scale full
@@ -505,21 +486,6 @@ mod tests {
         assert_eq!(entry, 76 + 60usize.div_ceil(8) + 8 * 60 * 54 + 16);
         let full = model.trainer_snapshot_bytes(4096, 54, 30, 30 * 200);
         assert!(entry * 5 < full);
-
-        // The journal region sits in Flash next to history + base snapshot.
-        let base = model.budget_with_snapshot(1200.0, 64 * 1024).unwrap();
-        let with = model
-            .budget_with_journal(1200.0, 64 * 1024, 32 * 1024)
-            .unwrap();
-        assert_eq!(with.history_bytes, base.history_bytes + 32 * 1024);
-        assert!(with.fits_flash); // 80 KB + 64 KB + 32 KB < 384 KB
-        assert!(
-            !model
-                .budget_with_journal(3600.0, 100 * 1024, 100 * 1024)
-                .unwrap()
-                .fits_flash
-        ); // 240 + 100 + 100 > 384
-        assert!(model.budget_with_journal(0.0, 1, 1).is_err());
     }
 
     #[test]
@@ -560,10 +526,11 @@ mod tests {
             2 * (40 + 64 * 1024) + 32 * 1024
         );
 
-        // Versus single-slot delta persistence the A/B store costs exactly
-        // one more slot: the price of never overwriting the committed base.
+        // Versus one base plus the journal region the A/B store costs
+        // exactly one more slot: the price of never overwriting the
+        // committed base.
         let single = model
-            .budget_with_journal(1200.0, 64 * 1024, 32 * 1024)
+            .budget_with_snapshot(1200.0, 64 * 1024 + 32 * 1024)
             .unwrap();
         let ab = model
             .budget_with_ab_store(1200.0, 64 * 1024, 32 * 1024)

@@ -85,11 +85,11 @@ pub enum SpectralMode {
     HopWelch,
 }
 
-/// Number of `f64` fields a [`HopSummary`] carries (priced by
+/// Number of `f64` fields a `HopSummary` carries (priced by
 /// `edge::memory::streaming_state_bytes`).
 pub const HOP_SUMMARY_F64_SLOTS: usize = 24;
 
-/// Number of `u32` fields a [`HopSummary`] carries (the zero-crossing count
+/// Number of `u32` fields a `HopSummary` carries (the zero-crossing count
 /// plus the order-3 and order-5 ordinal pattern tables).
 pub const HOP_SUMMARY_U32_SLOTS: usize = 1 + 6 + 120;
 

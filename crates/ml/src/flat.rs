@@ -1,6 +1,6 @@
 //! Flat, cache-friendly compilation of fitted random forests.
 //!
-//! The boxed [`DecisionTree`] representation chases a `Box<Node>` pointer per
+//! The boxed [`DecisionTree`](crate::tree::DecisionTree) representation chases a `Box<Node>` pointer per
 //! split, so every level of every tree of every window prediction is a
 //! dependent cache miss. [`FlatForest`] compiles a fitted ensemble into
 //! struct-of-arrays node storage — split feature, threshold, child indices

@@ -15,7 +15,6 @@
 //! * [`incremental`] — the stateful retraining engine for growing training
 //!   sets: appends merge into the presorted columns and only the trees whose
 //!   bootstrap pools were touched are refitted,
-//! * [`linear`] — a logistic-regression baseline,
 //! * [`kmeans`] / [`kmedoids`] — unsupervised clustering baselines,
 //! * [`persist`] — versioned binary snapshots of forests, training sets and
 //!   incremental trainers, so a wearable resumes its personalized pool
@@ -60,7 +59,6 @@ pub mod forest;
 pub mod incremental;
 pub mod kmeans;
 pub mod kmedoids;
-pub mod linear;
 pub mod metrics;
 pub mod persist;
 pub mod split;

@@ -57,12 +57,12 @@
 //! # Compaction
 //!
 //! Replay costs one `retrain` per entry at boot, so the journal must not
-//! grow without bound. [`CompactionPolicy`] decides when the accumulated
-//! journal should be folded into a fresh full snapshot (one O(pool) write
-//! that empties the journal); `seizure-core`'s
-//! `RealTimeDetector::save_delta` and `SelfLearningPipeline::save_delta`
-//! apply it automatically and tell the caller which kind of Flash write to
-//! perform through [`DeltaSave`].
+//! grow without bound. The A/B Flash store ([`super::store`]) owns that
+//! rule: [`FlashStore::should_compact`](super::store::FlashStore::should_compact)
+//! folds the journal into a fresh full snapshot (one O(pool) write that
+//! empties the journal) once it fills three quarters of its region.
+//! `seizure-core`'s `SelfLearningPipeline::save_to_store` applies it on
+//! every per-seizure save.
 //!
 //! # Example
 //!
@@ -140,8 +140,7 @@ pub struct JournalScan {
 }
 
 /// What a journal replay did, reported alongside the reconstructed state by
-/// [`replay`] and by `seizure-core`'s `load_with_journal` /
-/// `resume_with_journal`.
+/// [`replay`] and by `seizure-core`'s `SelfLearningPipeline::resume_from_store`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalReplayReport {
     /// Entries applied on top of the base snapshot.
@@ -157,7 +156,7 @@ pub struct JournalReplayReport {
 /// snapshot was written. The writer tracks the pool length itself, so every
 /// batch handed to [`JournalWriter::append_retrain`] must also have been
 /// handed to the trainer's `retrain` (in the same order) — `seizure-core`'s
-/// detector and pipeline couple the two calls.
+/// pipeline couples the two calls.
 ///
 /// Only the **unflushed** entries are held in RAM: once
 /// [`JournalWriter::take_unflushed`] / [`JournalWriter::mark_flushed`] hand
@@ -180,8 +179,8 @@ impl JournalWriter {
     /// whose payload covers a pool of `pool_len` samples.
     ///
     /// The base may be any envelope of this crate's format (the trainer
-    /// snapshot itself, or a `seizure-core` detector/pipeline snapshot that
-    /// nests one) — the writer only records its fingerprint; `pool_len` is
+    /// snapshot itself, or a `seizure-core` pipeline snapshot that nests
+    /// one) — the writer only records its fingerprint; `pool_len` is
     /// stated by the caller because only it knows where in the base the
     /// trainer sits.
     ///
@@ -207,7 +206,7 @@ impl JournalWriter {
     /// [`JournalWriter::unflushed`] starts empty — the valid prefix is
     /// already on stable storage and is *not* re-buffered in RAM. Used by
     /// the layers that replay journals at their own level (`seizure-core`'s
-    /// detector and pipeline); [`replay`] calls it for you.
+    /// pipeline); [`replay`] calls it for you.
     pub fn resume(
         base_fingerprint: u64,
         pool_len: usize,
@@ -327,41 +326,6 @@ impl JournalWriter {
     /// `true` when no entry has been written or resumed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Journal bookkeeping between delta saves: the writer holding the entries
-/// appended since the base snapshot, plus the base's size (the compaction
-/// policy compares the journal against it). `seizure-core`'s detector and
-/// pipeline both drive their delta saves through
-/// [`DeltaState::save`], so the Clean / Append / compact state machine
-/// exists once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaState {
-    /// Writer over the journal region.
-    pub writer: JournalWriter,
-    /// Byte length of the base snapshot the journal extends.
-    pub base_len: usize,
-}
-
-impl DeltaState {
-    /// The delta decision for the current state: `Some(Clean)` when nothing
-    /// is unflushed, `Some(Append)` with the unflushed entries (consumed)
-    /// while the journal stays within `policy`, and `None` when the journal
-    /// has outgrown the policy — the caller must fold it into a fresh full
-    /// base snapshot and re-arm.
-    pub fn save(&mut self, policy: CompactionPolicy) -> Option<DeltaSave> {
-        if self.unflushed_is_empty() {
-            return Some(DeltaSave::Clean);
-        }
-        if policy.should_compact(self.base_len, self.writer.len()) {
-            return None;
-        }
-        Some(DeltaSave::Append(self.writer.take_unflushed()))
-    }
-
-    fn unflushed_is_empty(&self) -> bool {
-        self.writer.unflushed().is_empty()
     }
 }
 
@@ -542,8 +506,7 @@ pub fn replay(base_snapshot: &[u8], journal: &[u8]) -> Result<Replayed, PersistE
 
 /// Validates an entry's bindings — the base fingerprint it extends and the
 /// pool length it applies at. Shared by [`apply_entry`] and `seizure-core`'s
-/// detector/pipeline resume paths (which re-apply batches at their own
-/// layer), so a future tightening of the binding rules cannot diverge
+/// pipeline resume path (which re-applies batches at its own layer), so a future tightening of the binding rules cannot diverge
 /// between them.
 pub fn validate_entry(
     entry: &JournalEntry,
@@ -586,56 +549,6 @@ pub fn apply_entry(
             detail: format!("journal entry {index} does not re-apply: {e}"),
         })?;
     Ok(())
-}
-
-/// When to fold the journal into a fresh full snapshot. Replay costs one
-/// `retrain` per entry at boot and the journal occupies Flash next to the
-/// base, so the journal is compacted once it stops being small relative to
-/// the snapshot it extends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Compact once the journal exceeds this fraction of the base
-    /// snapshot's size. At the default (0.5), resume replays at most ~half a
-    /// pool's worth of batches and the journal region never needs more than
-    /// half the base's Flash.
-    pub max_journal_fraction: f64,
-    /// Never compact below this journal size — for small pools the full
-    /// snapshot is cheap anyway, and thrashing O(pool) writes to save a few
-    /// hundred journal bytes would defeat the point.
-    pub min_journal_bytes: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        Self {
-            max_journal_fraction: 0.5,
-            min_journal_bytes: 8 * 1024,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// `true` when a journal of `journal_len` bytes over a base of
-    /// `base_len` bytes should be folded into a fresh full snapshot.
-    pub fn should_compact(&self, base_len: usize, journal_len: usize) -> bool {
-        journal_len >= self.min_journal_bytes
-            && journal_len as f64 > self.max_journal_fraction * base_len as f64
-    }
-}
-
-/// The Flash write a delta save asks the caller to perform —
-/// `seizure-core`'s `save_delta` entry points return this.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaSave {
-    /// Replace the base-snapshot region with these bytes and erase the
-    /// journal region (first save, or a compaction folding the journal into
-    /// a fresh full snapshot). O(pool).
-    Full(Vec<u8>),
-    /// Append these bytes to the journal region. O(batch) — the steady
-    /// state of the per-seizure save.
-    Append(Vec<u8>),
-    /// Nothing changed since the last save; write nothing.
-    Clean,
 }
 
 #[cfg(test)]
@@ -906,22 +819,5 @@ mod tests {
             .append_retrain(&rows[120..], 2, &labels[60..])
             .unwrap();
         assert_eq!(writer.unflushed().len(), writer.len() - first.len());
-    }
-
-    #[test]
-    fn compaction_policy_thresholds() {
-        let policy = CompactionPolicy::default();
-        // Below the absolute floor: never compact.
-        assert!(!policy.should_compact(1000, 4096));
-        // Above the floor and above the fraction: compact.
-        assert!(policy.should_compact(10_000, 8192));
-        // Above the floor but still small next to a big base: keep appending.
-        assert!(!policy.should_compact(100_000, 9000));
-        let strict = CompactionPolicy {
-            max_journal_fraction: 0.1,
-            min_journal_bytes: 0,
-        };
-        assert!(strict.should_compact(100, 11));
-        assert!(!strict.should_compact(100, 10));
     }
 }

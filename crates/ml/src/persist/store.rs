@@ -791,8 +791,8 @@ impl<F: Flash> FlashStore<F> {
         Ok(())
     }
 
-    /// Appends journal bytes (one or more frames from a
-    /// [`journal::DeltaSave::Append`]) after the current journal prefix.
+    /// Appends journal bytes (one or more [`journal::JournalWriter`]
+    /// frames) after the current journal prefix.
     ///
     /// # Errors
     ///
@@ -848,15 +848,13 @@ impl<F: Flash> FlashStore<F> {
             .read(self.geometry.journal_offset(), self.journal_len)
     }
 
-    /// A [`journal::CompactionPolicy`] matched to this store's geometry:
-    /// compact once the journal prefix passes three quarters of the region,
-    /// regardless of the base size (the region is the binding constraint
-    /// on-device).
-    pub fn compaction_policy(&self) -> journal::CompactionPolicy {
-        journal::CompactionPolicy {
-            max_journal_fraction: 0.0,
-            min_journal_bytes: (self.geometry.journal_bytes * 3 / 4).max(1),
-        }
+    /// The store's compaction rule: `true` once a journal of `journal_len`
+    /// bytes (the committed prefix plus the pending entry) reaches three
+    /// quarters of the region, so the next save folds it into the inactive
+    /// slot instead of appending. It ignores the base size: on-device the
+    /// region is the binding constraint.
+    pub fn should_compact(&self, journal_len: usize) -> bool {
+        journal_len >= (self.geometry.journal_bytes * 3 / 4).max(1)
     }
 
     /// Bytes still free in the journal region.
@@ -1046,6 +1044,15 @@ mod tests {
         ));
         // The store is still intact.
         assert_eq!(store.base().unwrap(), base);
+    }
+
+    #[test]
+    fn compaction_triggers_at_three_quarters_of_the_journal_region() {
+        let (base, _, _) = base_and_writer(8);
+        let store = formatted(&base);
+        assert_eq!(store.geometry().journal_bytes, 1024);
+        assert!(!store.should_compact(767));
+        assert!(store.should_compact(768));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! columns** — the pool is cut into fixed-size sample blocks, each block
 //! holding its feature values feature-major — and keeps one **sorted run of
 //! block-relative u16 ids per block per feature**; tree growth then runs on a
-//! reusable [`SplitScratch`] whose per-feature index segments are kept sorted
+//! reusable `SplitScratch` whose per-feature index segments are kept sorted
 //! by stable partitioning at each split (no per-node sorting), and nodes are
-//! appended to a [`NodeArena`] in DFS preorder (no per-node boxing). Trees
+//! appended to a `NodeArena` in DFS preorder (no per-node boxing). Trees
 //! are fitted in parallel over the `seizure-parallel` scoped threads.
 //!
 //! The block-run layout serves the self-learning loop, whose training set
@@ -46,10 +46,9 @@
 //! node for node (a property-tested invariant).
 //!
 //! For retraining that reuses trees across pool growth instead of refitting
-//! the whole ensemble, see
-//! [`IncrementalTrainer`](crate::incremental::IncrementalTrainer), which is
-//! built on the same scratch machinery and aligns its ownership blocks with
-//! the run blocks here.
+//! the whole ensemble, see [`IncrementalTrainer`], which is built on the
+//! same scratch machinery and aligns its ownership blocks with the run
+//! blocks here.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;

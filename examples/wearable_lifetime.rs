@@ -5,11 +5,12 @@
 //!    state, "powers down" (the snapshot crosses a process boundary through
 //!    a file), resumes, and keeps retraining node-identically to a device
 //!    that never lost power.
-//! 2. **Delta journal** — per-seizure saves append an O(batch) journal entry
-//!    instead of re-writing the O(pool) snapshot, the device **crashes
-//!    halfway through an append**, and the resume detects the torn entry,
-//!    drops it, truncates the journal file and re-learns the lost seizure —
-//!    ending node-identical to the uninterrupted device.
+//! 2. **The crash-proof A/B Flash store** — per-seizure saves append an
+//!    O(batch) journal entry instead of re-writing the O(pool) snapshot. The
+//!    device **loses power halfway through an append**: the reboot drops
+//!    the torn entry, loses exactly that seizure, re-learns it and ends
+//!    node-identical to the uninterrupted device. A second power loss
+//!    **mid-compaction** falls back to the committed slot.
 //!
 //! Run with:
 //!
@@ -29,7 +30,6 @@ use selflearn_seizure::edge::memory::MemoryModel;
 use selflearn_seizure::edge::platform::PlatformSpec;
 use selflearn_seizure::edge::timing::TimingModel;
 use selflearn_seizure::ml::forest::RandomForestConfig;
-use selflearn_seizure::ml::persist::journal::{CompactionPolicy, DeltaSave};
 use selflearn_seizure::ml::persist::store::{FaultyFlash, FlashGeometry, FlashStore, StoreSave};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -167,150 +167,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(with_snapshot.fits_flash);
 
-    // Delta persistence: per-seizure saves append O(batch) journal entries
-    // instead of re-writing the O(pool) snapshot — and a crash halfway
-    // through an append is detected, dropped and recovered from.
-    println!("\ndelta persistence (save -> crash mid-append -> resume -> re-learn)");
-    let base_path = std::env::temp_dir().join("wearable_lifetime_delta.base");
-    let journal_path = std::env::temp_dir().join("wearable_lifetime_delta.journal");
-    // With one seizure in the base, the second batch is a large fraction of
-    // the pool; a lenient compaction policy keeps this early-life demo on
-    // the append path (the default would — legitimately — fold instead).
-    let policy = CompactionPolicy {
-        max_journal_fraction: 100.0,
-        ..CompactionPolicy::default()
-    };
-
-    // Day 1: learn the first seizure; the first delta save is a full base.
-    {
-        let mut day1 = SelfLearningPipeline::new(LabelerConfig::default(), detector_config);
-        let record = cohort.sample_record(patient, 0, &sample, 1)?;
-        day1.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
-        match day1.save_delta_with(policy) {
-            DeltaSave::Full(base) => {
-                println!(
-                    "day 1: full base snapshot, {:.1} KB",
-                    base.len() as f64 / 1024.0
-                );
-                std::fs::write(&base_path, base)?;
-                std::fs::write(&journal_path, [])?;
-            }
-            other => panic!("first delta save must be full, got {other:?}"),
-        }
-    } // <- power cycle
-
-    // Day 2: resume, learn the second seizure — but power fails halfway
-    // through appending the journal entry.
-    {
-        let (mut day2, report) = SelfLearningPipeline::resume_with_journal(
-            &std::fs::read(&base_path)?,
-            &std::fs::read(&journal_path)?,
-        )?;
-        assert_eq!(report.entries_applied, 0);
-        let record = cohort.sample_record(patient, 1, &sample, 2)?;
-        day2.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
-        match day2.save_delta_with(policy) {
-            DeltaSave::Append(entry) => {
-                let torn = &entry[..entry.len() / 2];
-                let mut journal = std::fs::read(&journal_path)?;
-                journal.extend_from_slice(torn);
-                std::fs::write(&journal_path, journal)?;
-                println!(
-                    "day 2: O(batch) append of {:.1} KB — power lost after {:.1} KB",
-                    entry.len() as f64 / 1024.0,
-                    torn.len() as f64 / 1024.0
-                );
-            }
-            other => panic!("steady-state delta save must append, got {other:?}"),
-        }
-    } // <- crash: the in-memory state and half the entry are gone
-
-    // Day 3: the resume detects the torn entry, drops it, and tells the
-    // device where to truncate the journal; the lost seizure is re-learned
-    // from the hour buffer and saved again — cleanly this time.
-    let base = std::fs::read(&base_path)?;
-    let (mut day3, report) =
-        SelfLearningPipeline::resume_with_journal(&base, &std::fs::read(&journal_path)?)?;
-    assert_eq!(
-        report.entries_applied, 0,
-        "the torn entry must not be applied"
-    );
-    assert!(report.torn_bytes > 0);
-    println!(
-        "day 3: torn entry detected ({} bytes dropped), journal truncated to {} bytes",
-        report.torn_bytes, report.valid_len
-    );
-    // Truncate the journal *file* to the valid prefix — the same `set_len`
-    // a device performs on its Flash-backed file before appending anything
-    // new, so the torn bytes can never alias a future entry.
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&journal_path)?
-        .set_len(report.valid_len as u64)?;
-    let record = cohort.sample_record(patient, 1, &sample, 2)?;
-    day3.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
-    let entry_bytes = match day3.save_delta_with(policy) {
-        DeltaSave::Append(entry) => {
-            use std::io::Write;
-            std::fs::OpenOptions::new()
-                .append(true)
-                .open(&journal_path)?
-                .write_all(&entry)?;
-            entry.len()
-        }
-        other => panic!("the re-learned seizure must append, got {other:?}"),
-    };
-    let journal = std::fs::read(&journal_path)?;
-    assert_eq!(
-        journal.len(),
-        report.valid_len + entry_bytes,
-        "the truncated file plus the clean append is the whole journal"
-    );
-
-    // A final power cycle proves the recovered journal holds both seizures:
-    // the resumed device equals the uninterrupted reference.
-    let (day4, report) =
-        SelfLearningPipeline::resume_with_journal(&base, &std::fs::read(&journal_path)?)?;
-    assert_eq!(report.entries_applied, 1);
-    assert_eq!(report.torn_bytes, 0);
-    assert_eq!(day4.num_seizures_collected(), 2);
-    assert_eq!(
-        day4.detector().flat_forest(),
-        uninterrupted.detector().flat_forest(),
-        "journal recovery must be node-identical to the uninterrupted device"
-    );
-    assert_eq!(day4.evaluate(&held_out)?, reference_report);
-
-    // The per-seizure Flash write is O(batch): the journal entry is a small
-    // fraction of the full snapshot it replaces, and history + base +
-    // journal still fit the platform's Flash.
-    let with_journal = memory.budget_with_journal(1200.0, base.len(), journal.len())?;
-    println!(
-        "recovered: {} seizures from base + journal; per-seizure append {:.1} KB vs {:.1} KB \
-         full snapshot — the batch is half this tiny pool; the gap widens with every seizure \
-         (paper scale: see BENCH_persist.json); flash {} KB (fits: {})",
-        day4.num_seizures_collected(),
-        entry_bytes as f64 / 1024.0,
-        base.len() as f64 / 1024.0,
-        with_journal.history_bytes / 1024,
-        with_journal.fits_flash
-    );
-    assert!(entry_bytes < base.len());
-    assert!(with_journal.fits_flash);
-    std::fs::remove_file(&base_path)?;
-    std::fs::remove_file(&journal_path)?;
-
-    // Crash-proof A/B store: the same pipeline, but saves go to a dual-slot
-    // Flash image whose commit protocol survives power loss at *any* byte
-    // (the file-based journal above trusts the filesystem for that). The
+    // Crash-proof A/B store: per-seizure saves go to a dual-slot Flash image
+    // whose commit protocol survives power loss at *any* byte. The
     // FaultyFlash device lets the demo actually pull the plug.
-    println!("\ncrash-proof A/B flash store (power loss mid-save -> reboot -> resume)");
+    println!("\ncrash-proof A/B flash store (power loss mid-save -> reboot -> resume -> re-learn)");
     let mut device = SelfLearningPipeline::new(LabelerConfig::default(), detector_config);
     let record = cohort.sample_record(patient, 0, &sample, 1)?;
     device.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
     let geometry = FlashGeometry::for_base(device.save().len() * 4, 64 * 1024);
-    let mut store = device.init_store(FaultyFlash::new(geometry.total_bytes()), geometry)?;
+    let store = device.init_store(FaultyFlash::new(geometry.total_bytes()), geometry)?;
+    let committed = device.save();
+    println!(
+        "seizure 1: full base snapshot, {:.1} KB in slot {:?}",
+        store.base_len() as f64 / 1024.0,
+        store.active_slot()
+    );
+
+    // Seizure 2: power fails 16 KB into its O(batch) journal append.
+    let torn_after = 16 * 1024;
+    let crashing =
+        FaultyFlash::from_image(store.flash().image().to_vec()).power_loss_after(torn_after);
+    let (mut crashed_store, _) = FlashStore::mount(crashing, geometry)?;
     let record = cohort.sample_record(patient, 1, &sample, 2)?;
+    device.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
+    assert!(
+        device.save_to_store(&mut crashed_store).is_err(),
+        "the armed power loss must kill the append"
+    );
+
+    // Reboot: mount drops the torn entry and the resumed device has lost
+    // exactly that seizure; it is re-learned from the hour buffer and saved
+    // again — cleanly this time.
+    let (mut store, mount) = FlashStore::mount(crashed_store.into_flash().reboot(), geometry)?;
+    let (mut device, _) = SelfLearningPipeline::resume_from_store(&store)?;
+    assert_eq!(
+        mount.journal_discarded, torn_after,
+        "the torn entry must be dropped"
+    );
+    assert_eq!(device.num_seizures_collected(), 1);
+    assert_eq!(
+        device.save(),
+        committed,
+        "resume must be the pre-append state"
+    );
+    println!(
+        "rebooted: torn append detected ({} bytes dropped), {} seizure resumed",
+        mount.journal_discarded,
+        device.num_seizures_collected()
+    );
     device.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
     let save = device.save_to_store(&mut store)?;
     assert_eq!(
@@ -318,21 +222,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StoreSave::Appended,
         "one seizure -> one journal entry"
     );
+    let (store, _) = FlashStore::mount(store.into_flash().reboot(), geometry)?;
+    let (recovered, _) = SelfLearningPipeline::resume_from_store(&store)?;
+    assert_eq!(recovered.num_seizures_collected(), 2);
+    assert_eq!(
+        recovered.detector().flat_forest(),
+        uninterrupted.detector().flat_forest(),
+        "journal recovery must be node-identical to the uninterrupted device"
+    );
+    assert_eq!(recovered.evaluate(&held_out)?, reference_report);
+
+    // The per-seizure Flash write is O(batch), and history + both base slots
+    // + the journal still fit the platform's Flash.
+    let with_journal =
+        memory.budget_with_ab_store(1200.0, store.base_len(), store.journal_len())?;
     println!(
-        "seizure 2 saved ({save:?}): slot {:?} seq {}, {} journal entries",
+        "seizure 2 re-learned ({save:?}): slot {:?} seq {}, {} journal entry; per-seizure \
+         append {:.1} KB vs {:.1} KB base — the batch is half this tiny pool; the gap widens \
+         with every seizure (paper scale: see BENCH_persist.json); flash {} KB (fits: {})",
         store.active_slot(),
         store.sequence(),
-        store.journal_entries()
+        store.journal_entries(),
+        store.journal_len() as f64 / 1024.0,
+        store.base_len() as f64 / 1024.0,
+        with_journal.history_bytes / 1024,
+        with_journal.fits_flash
     );
+    assert!(store.journal_len() < store.base_len());
+    assert!(with_journal.fits_flash);
 
-    // Pull the plug 100 bytes into the next save. The write fails…
+    // Seizure 3 fills the journal past three quarters, so its save is an
+    // A/B compaction; pull the plug 100 bytes into it. The write fails…
+    let mut device = recovered;
     let committed = device.save();
     let crashing = FaultyFlash::from_image(store.flash().image().to_vec()).power_loss_after(100);
     let (mut crashed_store, _) = FlashStore::mount(crashing, geometry)?;
     let record = cohort.sample_record(patient, 2, &sample, 3)?;
     device.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
     let died = device.save_to_store(&mut crashed_store);
-    assert!(died.is_err(), "the armed power loss must kill the save");
+    assert!(
+        died.is_err(),
+        "the armed power loss must kill the compaction"
+    );
 
     // …but the next boot mounts the committed state as if nothing happened:
     // the in-flight seizure is re-learned from the hour buffer, saved, and a
@@ -353,7 +284,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut store = store;
     resumed.observe_missed_seizure(&record, w, LabelSource::Algorithm)?;
-    resumed.save_to_store(&mut store)?;
+    assert_eq!(resumed.save_to_store(&mut store)?, StoreSave::Rebased);
     let (store, _) = FlashStore::mount(store.into_flash().reboot(), geometry)?;
     let (survivor, _) = SelfLearningPipeline::resume_from_store(&store)?;
     assert_eq!(survivor.num_seizures_collected(), 3);
