@@ -14,6 +14,7 @@ use seizure_core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
 use seizure_core::CoreError;
 use seizure_data::cohort::Cohort;
 use seizure_features::extractor::SlidingWindowConfig;
+use seizure_features::normalize::normalize_features;
 use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::kmedoids::{KMedoids, KMedoidsConfig};
 use seizure_ml::metrics::ConfusionMatrix;
@@ -95,7 +96,8 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
                 detector_config.window_secs,
                 detector_config.overlap,
             )?;
-            let rows = detector_template.extract_features(signal)?;
+            let matrix = detector_template.extract_feature_matrix(signal)?;
+            let rows = matrix.to_rows();
             let truth_label =
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
             let truth = window_labels(
@@ -105,8 +107,9 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
                 window.step_seconds(),
             )?;
 
-            // Normalize rows per feature for the clustering baselines.
-            let normalized = normalize_rows(&rows);
+            // Normalize each feature for the clustering baselines
+            // (Algorithm 1, line 1).
+            let normalized = normalize_features(&matrix)?.to_rows();
 
             let kmeans = KMeans::fit(&normalized, &KMeansConfig::default(), 7)?;
             let assignments = kmeans.predict_batch(&normalized);
@@ -142,40 +145,6 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
     })
 }
 
-fn normalize_rows(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    let f = rows[0].len();
-    let n = rows.len() as f64;
-    let mut means = vec![0.0; f];
-    for row in rows {
-        for (m, x) in means.iter_mut().zip(row) {
-            *m += x;
-        }
-    }
-    for m in &mut means {
-        *m /= n;
-    }
-    let mut stds = vec![0.0; f];
-    for row in rows {
-        for ((s, x), m) in stds.iter_mut().zip(row).zip(&means) {
-            *s += (x - m) * (x - m);
-        }
-    }
-    for s in &mut stds {
-        *s = (*s / n).sqrt();
-    }
-    rows.iter()
-        .map(|row| {
-            row.iter()
-                .zip(means.iter().zip(stds.iter()))
-                .map(|(x, (m, s))| if *s > 0.0 { (x - m) / s } else { x - m })
-                .collect()
-        })
-        .collect()
-}
-
 impl BaselineResults {
     /// Formats the baseline comparison table.
     pub fn format(&self) -> String {
@@ -206,17 +175,6 @@ mod tests {
         assert_eq!(minority_cluster(&[0, 0, 0, 1]), 1);
         assert_eq!(minority_cluster(&[1, 1, 1, 0]), 0);
         assert_eq!(minority_cluster(&[0, 1]), 1);
-    }
-
-    #[test]
-    fn normalize_rows_zero_mean() {
-        let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
-        let normalized = normalize_rows(&rows);
-        for c in 0..2 {
-            let mean: f64 = normalized.iter().map(|r| r[c]).sum::<f64>() / 3.0;
-            assert!(mean.abs() < 1e-12);
-        }
-        assert!(normalize_rows(&[]).is_empty());
     }
 
     #[test]

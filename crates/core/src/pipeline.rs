@@ -10,7 +10,9 @@ use crate::algorithm::{DetectorConfig, Implementation};
 use crate::error::CoreError;
 use crate::label::{window_labels, SeizureLabel};
 use crate::labeler::{LabelerConfig, PosterioriLabeler};
-use crate::realtime::{balanced_indices, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
+use crate::realtime::{
+    spread_balanced_indices, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig,
+};
 use crate::workspace::FeatureWorkspace;
 use seizure_data::sampler::EegRecord;
 use seizure_features::extractor::RichFeatureSet;
@@ -384,31 +386,14 @@ impl SelfLearningPipeline {
             self.num_quarantined += 1;
             return Ok(());
         }
-        let selected = balanced_indices(&eligible_labels)?;
-        let mut staged = Vec::with_capacity(selected.len());
+        // Positives and sampled negatives spread through each other, so a
+        // long seizure cannot fill whole ownership blocks of the incremental
+        // pool with one class.
+        let selected = spread_balanced_indices(&eligible_labels)?;
+        let staged: Vec<usize> = selected.iter().map(|&i| eligible[i]).collect();
         self.batch_labels.clear();
-        // `balanced_indices` returns every positive followed by the sampled
-        // negatives; staged in that order a long seizure (more positive
-        // windows than `block_size`) would fill whole ownership blocks of
-        // the incremental pool with one class. Spreading the smaller class
-        // evenly through the larger keeps single-class runs at the class
-        // ratio instead of the full class size, so blocks stay mixed.
-        let num_pos = eligible_labels.iter().filter(|&&l| l).count();
-        let (pos, neg) = selected.split_at(num_pos.min(selected.len()));
-        let (mut p, mut n) = (0usize, 0usize);
-        while p < pos.len() || n < neg.len() {
-            // Proportional merge: advance whichever class lags its share.
-            let pick_pos = n >= neg.len() || (p < pos.len() && p * neg.len() <= n * pos.len());
-            let i = if pick_pos {
-                p += 1;
-                pos[p - 1]
-            } else {
-                n += 1;
-                neg[n - 1]
-            };
-            staged.push(eligible[i]);
-            self.batch_labels.push(eligible_labels[i]);
-        }
+        self.batch_labels
+            .extend(selected.iter().map(|&i| eligible_labels[i]));
         self.detector.extract_windows_into(
             signal,
             &staged,
@@ -439,9 +424,9 @@ impl SelfLearningPipeline {
     }
 
     /// Serializes the pipeline's full persistent state — labeler
-    /// configuration, the detector (model, statistics or incremental pool;
-    /// see [`RealTimeDetector::save_state`]), the seizure counter and every
-    /// produced label — into the versioned binary snapshot format of
+    /// configuration, the detector (gate calibration, trainer and training
+    /// pool; see [`RealTimeDetector::save_state`]), the seizure counter and
+    /// every produced label — into the versioned binary snapshot format of
     /// [`seizure_ml::persist`]. The extraction workspace and the batch
     /// staging buffers are scratch and are not stored; a resumed pipeline
     /// regrows them on first use.
@@ -701,6 +686,7 @@ impl SelfLearningPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::realtime::balanced_indices;
     use seizure_data::cohort::Cohort;
     use seizure_data::sampler::SampleConfig;
     use seizure_ml::forest::RandomForestConfig;
@@ -934,9 +920,10 @@ mod tests {
     #[test]
     fn staged_batches_spread_classes_when_positives_dominate() {
         // A label covering most of the record yields far more seizure than
-        // seizure-free windows; the staging buffer must still spread the
-        // negatives through the positives so no ownership block of the
-        // incremental pool is filled by one class.
+        // seizure-free windows; the pipeline's staging buffer and the
+        // detector's `balance` must still spread the negatives through the
+        // positives so no ownership block of the incremental pool is filled
+        // by one class.
         let cohort = Cohort::chb_mit_like(28);
         let config = small_sample_config();
         let mut pipeline =
@@ -944,24 +931,36 @@ mod tests {
         let record = cohort.sample_record(8, 0, &config, 6).unwrap();
         let label =
             crate::label::SeizureLabel::new(1.0, record.signal().duration_secs() * 0.8).unwrap();
+        let detector = RealTimeDetector::new(fast_detector_config());
+        let windows = detector
+            .build_training_windows(record.signal(), &label)
+            .unwrap();
+        let balanced = detector.balance(&windows).unwrap();
         pipeline.add_training_record(&record, &label).unwrap();
 
-        let staged = &pipeline.batch_labels;
-        let pos = staged.iter().filter(|&&l| l).count();
-        let neg = staged.len() - pos;
-        assert!(pos > neg, "the label should dominate: {pos} vs {neg}");
-        let mut max_run = 0;
-        let mut run = 0;
-        let mut prev = None;
-        for &l in staged {
-            run = if prev == Some(l) { run + 1 } else { 1 };
-            prev = Some(l);
-            max_run = max_run.max(run);
+        for (what, staged) in [
+            ("pipeline", &pipeline.batch_labels[..]),
+            ("balance", balanced.labels()),
+        ] {
+            let pos = staged.iter().filter(|&&l| l).count();
+            let neg = staged.len() - pos;
+            assert!(
+                pos > neg,
+                "{what}: the label should dominate: {pos} vs {neg}"
+            );
+            let mut max_run = 0;
+            let mut run = 0;
+            let mut prev = None;
+            for &l in staged {
+                run = if prev == Some(l) { run + 1 } else { 1 };
+                prev = Some(l);
+                max_run = max_run.max(run);
+            }
+            assert!(
+                max_run <= pos.div_ceil(neg) + 1,
+                "{what}: max single-class run {max_run} exceeds the class ratio bound"
+            );
         }
-        assert!(
-            max_run <= pos.div_ceil(neg) + 1,
-            "max single-class run {max_run} exceeds the class ratio bound"
-        );
     }
 
     /// The extract-everything staging `learn_record` used before it selected

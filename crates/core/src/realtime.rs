@@ -24,15 +24,15 @@ use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::metrics::ConfusionMatrix;
 use seizure_ml::persist::journal::{self, JournalEntry};
 use seizure_ml::persist::{self, PersistError, SnapshotKind, SnapshotReader, SnapshotWriter};
-use seizure_ml::training::{train_forest, TrainingSet};
 
 /// Snapshot marker: the detector has never been trained.
 const MODEL_UNTRAINED: u8 = 0;
-/// Snapshot marker: batch-trained model (standardization statistics stored).
-const MODEL_BATCH: u8 = 1;
-/// Snapshot marker: incrementally trained model (raw features, trainer
-/// stored, forest re-stitched on load).
-const MODEL_INCREMENTAL: u8 = 2;
+/// Retired snapshot marker of the standardized batch-trained model; decoding
+/// it fails with a typed error.
+const MODEL_RETIRED_BATCH: u8 = 1;
+/// Snapshot marker: trained model (trainer stored, forest re-stitched on
+/// load).
+const MODEL_TRAINED: u8 = 2;
 
 /// Configuration of the real-time detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,19 +251,21 @@ impl QualityGate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealTimeDetector {
     config: RealTimeDetectorConfig,
-    /// The fitted forest compiled into flat struct-of-arrays storage; the
-    /// boxed ensemble is dropped after compilation so only one copy of the
-    /// model stays resident.
-    flat: Option<FlatForest>,
-    feature_means: Vec<f64>,
-    feature_stds: Vec<f64>,
-    /// The growable retraining engine behind
-    /// [`RealTimeDetector::retrain_incremental`]; `None` until the first
-    /// incremental retrain.
-    incremental: Option<IncrementalTrainer>,
+    /// The retraining engine and the flat forest it last emitted; `None`
+    /// until the first successful fit.
+    model: Option<TrainedModel>,
     /// Calibrated signal-quality gate state (always present; only consulted
     /// when [`RealTimeDetectorConfig::quality_gate`] is on).
     gate: QualityGate,
+}
+
+/// The detector's one model representation: a forest never exists without
+/// the trainer (and training pool) that produced it, so every trained
+/// detector can be extended by [`RealTimeDetector::retrain_incremental`].
+#[derive(Debug, Clone, PartialEq)]
+struct TrainedModel {
+    trainer: IncrementalTrainer,
+    forest: FlatForest,
 }
 
 impl RealTimeDetector {
@@ -271,10 +273,7 @@ impl RealTimeDetector {
     pub fn new(config: RealTimeDetectorConfig) -> Self {
         Self {
             config,
-            flat: None,
-            feature_means: Vec::new(),
-            feature_stds: Vec::new(),
-            incremental: None,
+            model: None,
             gate: QualityGate::default(),
         }
     }
@@ -301,7 +300,7 @@ impl RealTimeDetector {
 
     /// Returns `true` once [`RealTimeDetector::train`] has succeeded.
     pub fn is_trained(&self) -> bool {
-        self.flat.is_some()
+        self.model.is_some()
     }
 
     pub(crate) fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
@@ -418,163 +417,96 @@ impl RealTimeDetector {
     /// Builds a balanced training dataset: all seizure windows of `dataset`
     /// plus an equal number of evenly spaced non-seizure windows (the paper
     /// trains on balanced sets of 2–5 seizures plus seizure-free samples).
+    /// The two classes are spread through each other in proportion (the
+    /// same staging order the self-learning pipeline uses), so the result
+    /// trains well through [`RealTimeDetector::train`] even when the seizure
+    /// is longer than an ownership block.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidState`] if the dataset contains no seizure
     /// or no seizure-free windows.
     pub fn balance(&self, dataset: &Dataset) -> Result<Dataset, CoreError> {
-        let selected = balanced_indices(dataset.labels())?;
+        let selected = spread_balanced_indices(dataset.labels())?;
         Ok(dataset.subset(&selected)?)
     }
 
-    /// Trains the random forest on a labeled window dataset. Feature columns
-    /// are standardized with statistics captured from this training set and
-    /// re-applied at prediction time.
+    /// Trains the random forest on a labeled window dataset from scratch:
+    /// any previous model and training pool are discarded, and a fresh
+    /// [`IncrementalTrainer`] (this detector's forest configuration, block
+    /// size and seed) is fitted once on the dataset's rows, in dataset
+    /// order — exactly what [`RealTimeDetector::retrain_incremental`] does on
+    /// an untrained detector, so later `retrain_incremental` calls extend
+    /// the result. The forest trains on raw features: its splits are
+    /// per-feature thresholds, which no per-column affine scaling can move
+    /// across a sample.
+    ///
+    /// Ownership blocks are cut from consecutive rows, so interleave the
+    /// classes (as [`RealTimeDetector::balance`] does) instead of passing
+    /// long single-class runs.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] if the forest cannot be fitted (for instance
-    /// on an empty dataset).
+    /// Returns [`CoreError::Ml`] under the input rules of
+    /// [`IncrementalTrainer::retrain`]: an empty dataset, invalid forest
+    /// hyper-parameters or block size, or a single-class dataset longer than
+    /// the block size. On error the detector keeps its previous model.
     pub fn train(&mut self, dataset: &Dataset) -> Result<(), CoreError> {
-        let f = dataset.num_features();
-        let mut rows = Vec::with_capacity(dataset.len() * f);
-        for row in dataset.features() {
-            rows.extend_from_slice(row);
-        }
-        self.train_flat(&rows, f, dataset.labels())
-    }
-
-    /// Trains the forest directly from a flat row-major matrix
-    /// (`labels.len() * num_features` values) through the parallel
-    /// scratch-backed training engine — no `Vec<Vec<f64>>` round-trips. The
-    /// fitted flat forest is bit-identical to the boxed
-    /// [`RandomForest::fit`](seizure_ml::RandomForest::fit) path with the
-    /// same data, configuration and seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] if the matrix is malformed or the forest
-    /// cannot be fitted.
-    pub fn train_flat(
-        &mut self,
-        rows: &[f64],
-        num_features: usize,
-        labels: &[bool],
-    ) -> Result<(), CoreError> {
-        if num_features == 0 {
-            return Err(seizure_ml::MlError::InvalidDataset {
-                detail: "training requires at least one feature".to_string(),
-            }
-            .into());
-        }
-        let n = labels.len() as f64;
-        let mut means = vec![0.0; num_features];
-        for row in rows.chunks_exact(num_features) {
-            for (m, x) in means.iter_mut().zip(row.iter()) {
-                *m += x;
-            }
-        }
-        for m in &mut means {
-            *m /= n;
-        }
-        let mut stds = vec![0.0; num_features];
-        for row in rows.chunks_exact(num_features) {
-            for ((s, x), m) in stds.iter_mut().zip(row.iter()).zip(means.iter()) {
-                *s += (x - m) * (x - m);
-            }
-        }
-        for s in &mut stds {
-            *s = (*s / n).sqrt();
-        }
-        let mut scaled = rows.to_vec();
-        scale_flat(&mut scaled, &means, &stds);
-        let set = TrainingSet::from_rows(&scaled, num_features, labels)?;
-        self.flat = Some(train_forest(&set, &self.config.forest, self.config.seed)?);
-        self.feature_means = means;
-        self.feature_stds = stds;
-        // A full batch fit supersedes any incremental pool.
-        self.incremental = None;
+        let rows: Vec<f64> = dataset.features().iter().flatten().copied().collect();
+        self.model = Some(self.fit_fresh(&rows, dataset.num_features(), dataset.labels())?);
         Ok(())
     }
 
     /// Adds new labeled windows (flat row-major, `labels.len() *
-    /// num_features` values) to the detector's growing training pool and
-    /// retrains through the [`IncrementalTrainer`]: the pool append sorts
-    /// only the block-local presorted runs it touches, and only the trees
-    /// whose bootstrap pools were touched by the growth are refitted —
-    /// loading just their owned blocks — so the self-learning loop stops
-    /// paying a full `train_forest` per missed seizure.
-    ///
-    /// Unlike [`RealTimeDetector::train_flat`], the incremental path trains
-    /// on **raw** features (no standardization): forests split on per-feature
-    /// thresholds, so the affine per-column scaling changes no decision
-    /// boundary, and skipping it keeps every grown state identical to a
-    /// from-scratch incremental fit of the final pool regardless of when
-    /// which rows arrived. The feature statistics are cleared accordingly so
-    /// the prediction paths feed raw features too.
+    /// num_features` values) to the detector's training pool and retrains
+    /// through its [`IncrementalTrainer`] (an untrained detector fits a
+    /// fresh one): the pool append sorts only the block-local presorted runs
+    /// it touches, and only the trees whose bootstrap pools were touched by
+    /// the growth are refitted — loading just their owned blocks — so the
+    /// self-learning loop stops paying a full fit per missed seizure. Every
+    /// grown state is identical to one fit of the final pool, regardless of
+    /// when which rows arrived.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidState`] if the detector currently holds a
-    /// batch-trained model ([`RealTimeDetector::train`] /
-    /// [`RealTimeDetector::train_flat`]): those paths do not retain their
-    /// training rows, so incremental retraining cannot *extend* them — it
-    /// would silently restart from an empty pool instead. Use a fresh
-    /// detector (or keep retraining through the batch path).
-    /// Returns [`CoreError::Ml`] if the matrix is malformed, its feature
-    /// count drifts between calls, or the forest cannot be fitted.
+    /// Returns [`CoreError::Ml`] under the input rules of
+    /// [`IncrementalTrainer::retrain`]: a malformed matrix, a feature count
+    /// that drifts between calls, a single-class append longer than the
+    /// block size, or a forest that cannot be fitted.
     pub fn retrain_incremental(
         &mut self,
         rows: &[f64],
         num_features: usize,
         labels: &[bool],
     ) -> Result<(), CoreError> {
-        if self.incremental.is_none() && self.flat.is_some() {
-            return Err(CoreError::InvalidState {
-                detail: "the detector holds a batch-trained model whose training rows were \
-                         not retained; incremental retraining cannot extend it (train a \
-                         fresh detector incrementally instead)"
-                    .to_string(),
-            });
+        match &mut self.model {
+            Some(model) => model.forest = model.trainer.retrain(rows, num_features, labels)?,
+            None => self.model = Some(self.fit_fresh(rows, num_features, labels)?),
         }
-        let trainer = self.incremental.get_or_insert_with(|| {
-            IncrementalTrainer::new(
-                IncrementalTrainerConfig {
-                    forest: self.config.forest,
-                    block_size: self.config.incremental_block_size,
-                },
-                self.config.seed,
-            )
-        });
-        self.flat = Some(trainer.retrain(rows, num_features, labels)?);
-        self.feature_means.clear();
-        self.feature_stds.clear();
         Ok(())
     }
 
-    /// The incremental retraining engine, once
-    /// [`RealTimeDetector::retrain_incremental`] has run.
+    /// Fits a fresh trainer built from this detector's configuration and
+    /// seed once on `rows`.
+    fn fit_fresh(
+        &self,
+        rows: &[f64],
+        num_features: usize,
+        labels: &[bool],
+    ) -> Result<TrainedModel, CoreError> {
+        let mut trainer = IncrementalTrainer::new(trainer_config(&self.config), self.config.seed);
+        let forest = trainer.retrain(rows, num_features, labels)?;
+        Ok(TrainedModel { trainer, forest })
+    }
+
+    /// The retraining engine (and its training pool), once trained.
     pub fn incremental_trainer(&self) -> Option<&IncrementalTrainer> {
-        self.incremental.as_ref()
+        self.model.as_ref().map(|m| &m.trainer)
     }
 
     /// The flat-compiled forest the inference paths run on, once trained.
     pub fn flat_forest(&self) -> Option<&FlatForest> {
-        self.flat.as_ref()
-    }
-
-    /// Standardizes a flat row-major feature matrix in place with the
-    /// statistics captured at training time (same arithmetic as the per-row
-    /// scaling, fused over the whole batch). Raw-feature detectors — the
-    /// incremental path clears the statistics — skip the pass entirely:
-    /// without the early return, empty statistics would walk the whole
-    /// matrix in single-element chunks doing nothing.
-    fn scale_matrix_in_place(&self, data: &mut [f64]) {
-        if self.feature_means.is_empty() {
-            return;
-        }
-        scale_flat(data, &self.feature_means, &self.feature_stds);
+        self.model.as_ref().map(|m| &m.forest)
     }
 
     /// Classifies every analysis window of `signal` (true = seizure alarm).
@@ -607,8 +539,8 @@ impl RealTimeDetector {
     /// Allocation-free end of the detect path: classifies every window of
     /// `signal` into the workspace's prediction buffer (readable through
     /// [`FeatureWorkspace::predictions`]) and returns the window count.
-    /// Extraction, standardization and the forest's batch prediction all run
-    /// on workspace-owned buffers, so a sweep over many records touches the
+    /// Extraction and the forest's batch prediction both run on
+    /// workspace-owned buffers, so a sweep over many records touches the
     /// heap only when a record first outgrows them.
     ///
     /// # Errors
@@ -647,9 +579,7 @@ impl RealTimeDetector {
             (&corrected_f7t3[..], &corrected_f8t4[..])
         };
         extractor.extract_batch_into(f7t3, f8t4, &window, pool, matrix)?;
-        let num_features = matrix.num_features();
-        self.scale_matrix_in_place(matrix.data_mut());
-        forest.predict_batch_into(matrix.data(), num_features, predictions)?;
+        forest.predict_batch_into(matrix.data(), matrix.num_features(), predictions)?;
         if self.config.quality_gate {
             // Fail closed: an artifact-dominated window never raises an alarm.
             for (p, v) in predictions.iter_mut().zip(verdicts.iter()) {
@@ -846,14 +776,13 @@ impl RealTimeDetector {
     }
 
     fn require_flat(&self) -> Result<&FlatForest, CoreError> {
-        self.flat.as_ref().ok_or_else(|| CoreError::InvalidState {
+        self.flat_forest().ok_or_else(|| CoreError::InvalidState {
             detail: "the real-time detector has not been trained yet".to_string(),
         })
     }
 
-    /// Classifies pre-extracted rich-feature rows through the flat batch
-    /// path. Predictions are identical to the boxed per-row path (the flat
-    /// forest is a bit-exact compilation of the fitted ensemble).
+    /// Classifies pre-extracted rich-feature rows with the flat forest, one
+    /// prediction per row.
     ///
     /// # Errors
     ///
@@ -861,24 +790,6 @@ impl RealTimeDetector {
     /// trained and [`CoreError::InvalidParameter`] if the rows disagree with
     /// the training feature count.
     pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<bool>, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        Ok(self.predict_rows_with(rows, &mut ws)?.to_vec())
-    }
-
-    /// Multi-call twin of [`RealTimeDetector::predict_rows`]: the rows are
-    /// staged into the workspace's flat buffer and classified into its
-    /// prediction buffer (like [`RealTimeDetector::detect_into`] does), so
-    /// repeated calls stop allocating a fresh flat matrix each time. Returns
-    /// the predictions borrowed from the workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealTimeDetector::predict_rows`].
-    pub fn predict_rows_with<'w>(
-        &self,
-        rows: &[Vec<f64>],
-        workspace: &'w mut FeatureWorkspace,
-    ) -> Result<&'w [bool], CoreError> {
         let forest = self.require_flat()?;
         let num_features = forest.num_features();
         if let Some(bad) = rows.iter().find(|r| r.len() != num_features) {
@@ -890,25 +801,18 @@ impl RealTimeDetector {
                 ),
             });
         }
-        workspace.row_buf.clear();
-        workspace.row_buf.reserve(rows.len() * num_features);
-        for row in rows {
-            workspace.row_buf.extend_from_slice(row);
-        }
-        self.scale_matrix_in_place(&mut workspace.row_buf);
-        forest.predict_batch_into(&workspace.row_buf, num_features, &mut workspace.predictions)?;
-        Ok(&workspace.predictions)
+        Ok(rows.iter().map(|row| forest.predict(row)).collect())
     }
 
-    /// Serializes the detector's full state — configuration, model, feature
-    /// statistics and (when trained incrementally) the whole retraining
-    /// engine including its sample pool — into the versioned binary snapshot
-    /// format of [`seizure_ml::persist`], so a wearable can power down and
+    /// Serializes the detector's full state — configuration, quality-gate
+    /// calibration and, once trained, the whole retraining engine including
+    /// its sample pool — into the versioned binary snapshot format of
+    /// [`seizure_ml::persist`], so a wearable can power down and
     /// [`RealTimeDetector::load_state`] can resume exactly where it left
-    /// off. Batch-trained detectors store their standardization statistics
-    /// alongside the forest; incremental detectors are marked raw-feature
-    /// (the incremental path trains unstandardized) and store the trainer
-    /// instead, from which the forest is re-stitched on load.
+    /// off. The forest itself is not stored: it is re-stitched from the
+    /// trainer on load. The model section is marked untrained (0) or trained
+    /// (2); marker 1, the standardized batch model of earlier versions, is
+    /// retired and never written.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         self.write_state_body(&mut w);
@@ -935,29 +839,20 @@ impl RealTimeDetector {
         w.f64(self.gate.ref_log_std[0]);
         w.f64(self.gate.ref_log_std[1]);
         w.f64(self.gate.ref_weight);
-        match (&self.incremental, &self.flat) {
-            (Some(trainer), _) => {
-                w.u8(MODEL_INCREMENTAL);
+        match &self.model {
+            Some(model) => {
+                w.u8(MODEL_TRAINED);
                 let child = w.begin_nested(SnapshotKind::IncrementalTrainer);
-                persist::write_trainer_body(w, trainer);
+                persist::write_trainer_body(w, &model.trainer);
                 w.end_nested(child);
             }
-            (None, Some(forest)) => {
-                w.u8(MODEL_BATCH);
-                w.slice_f64(&self.feature_means);
-                w.slice_f64(&self.feature_stds);
-                let child = w.begin_nested(SnapshotKind::FlatForest);
-                persist::write_forest_body(w, forest);
-                w.end_nested(child);
-            }
-            (None, None) => w.u8(MODEL_UNTRAINED),
+            None => w.u8(MODEL_UNTRAINED),
         }
     }
 
     /// Restores a detector from a [`RealTimeDetector::save_state`] snapshot.
-    /// The restored detector is state-identical to the saved one: a
-    /// batch-trained detector keeps its statistics and forest bit for bit,
-    /// and an incremental detector's next
+    /// The restored detector is state-identical to the saved one: its forest
+    /// is re-stitched bit for bit from the trainer, and its next
     /// [`RealTimeDetector::retrain_incremental`] emits a forest
     /// node-identical to the one an uninterrupted detector would produce.
     ///
@@ -965,7 +860,8 @@ impl RealTimeDetector {
     ///
     /// Returns [`CoreError::Persist`] for truncated, foreign, corrupted,
     /// version-mismatched or internally inconsistent snapshots — never a
-    /// panic.
+    /// panic. A snapshot carrying the retired model marker 1 (a standardized
+    /// batch model) is reported as [`PersistError::Corrupted`] naming it.
     pub fn load_state(bytes: &[u8]) -> Result<Self, CoreError> {
         let mut r = SnapshotReader::open(bytes, SnapshotKind::RealTimeDetector)?;
         let window_secs = r.f64()?;
@@ -999,46 +895,29 @@ impl RealTimeDetector {
         };
         match r.u8()? {
             MODEL_UNTRAINED => {}
-            MODEL_BATCH => {
-                detector.feature_means = r.slice_f64()?;
-                detector.feature_stds = r.slice_f64()?;
-                if detector.feature_means.len() != detector.feature_stds.len() {
-                    return Err(PersistError::Corrupted {
-                        detail: "feature means and stds disagree in length".to_string(),
-                    }
-                    .into());
+            MODEL_RETIRED_BATCH => {
+                return Err(PersistError::Corrupted {
+                    detail: format!(
+                        "detector model marker {MODEL_RETIRED_BATCH} (standardized batch model) \
+                         is retired; retrain the detector"
+                    ),
                 }
-                let forest = persist::forest_from_bytes(r.nested()?)?;
-                if detector.feature_means.len() != forest.num_features() {
-                    return Err(PersistError::Corrupted {
-                        detail: format!(
-                            "feature statistics cover {} features but the forest was trained \
-                             on {}",
-                            detector.feature_means.len(),
-                            forest.num_features()
-                        ),
-                    }
-                    .into());
-                }
-                detector.flat = Some(forest);
+                .into())
             }
-            MODEL_INCREMENTAL => {
+            MODEL_TRAINED => {
                 let trainer = persist::trainer_from_bytes(r.nested()?)?;
-                if *trainer.config()
-                    != (IncrementalTrainerConfig {
-                        forest: config.forest,
-                        block_size: config.incremental_block_size,
-                    })
-                    || trainer.seed() != config.seed
-                {
+                if *trainer.config() != trainer_config(&config) || trainer.seed() != config.seed {
                     return Err(PersistError::Corrupted {
                         detail: "embedded trainer disagrees with the detector configuration"
                             .to_string(),
                     }
                     .into());
                 }
-                detector.flat = trainer.current_forest();
-                detector.incremental = Some(trainer);
+                // A trainer that never fitted (its first append failed)
+                // restores as an untrained detector.
+                detector.model = trainer
+                    .current_forest()
+                    .map(|forest| TrainedModel { trainer, forest });
             }
             marker => {
                 return Err(PersistError::Corrupted {
@@ -1061,7 +940,7 @@ impl RealTimeDetector {
         fingerprint: u64,
         index: usize,
     ) -> Result<(), CoreError> {
-        let pool = self.incremental.as_ref().map_or(0, |t| t.num_samples());
+        let pool = self.incremental_trainer().map_or(0, |t| t.num_samples());
         journal::validate_entry(entry, fingerprint, pool, index)?;
         self.retrain_incremental(&entry.rows, entry.num_features, &entry.labels)
             .map_err(|e| {
@@ -1174,8 +1053,8 @@ pub struct StreamingDetection {
 /// Samples are buffered into hops; each hop advances the carried extraction
 /// state ([`StreamingRichExtractor`]), and once a full window of hops is in
 /// flight every further hop completes one window: quality verdict (with the
-/// same Schmitt-trigger hysteresis as the batch gate), standardization with
-/// the training statistics, forest classification and alarm gating. After
+/// same Schmitt-trigger hysteresis as the batch gate), forest classification
+/// of the raw feature row and alarm gating. After
 /// the warm-up allocations in [`RealTimeDetector::streaming`], pushing
 /// samples performs no heap allocation (`tests/device_no_alloc.rs` counts
 /// them over a whole gated record).
@@ -1268,13 +1147,6 @@ impl StreamingDetector<'_> {
         } else {
             QualityVerdict::Clean
         };
-        if !self.detector.feature_means.is_empty() {
-            scale_flat(
-                &mut self.row,
-                &self.detector.feature_means,
-                &self.detector.feature_stds,
-            );
-        }
         let mut alarm = self.forest.predict(&self.row);
         if self.detector.config.quality_gate && verdict == QualityVerdict::Reject {
             alarm = false;
@@ -1291,9 +1163,9 @@ impl StreamingDetector<'_> {
 
 /// Balanced training selection over per-window labels: every seizure window
 /// plus an equal number of evenly spaced seizure-free windows, positives
-/// first (the pipeline re-spreads the two halves proportionally before
-/// staging them into the incremental pool, so ownership blocks mix both
-/// classes).
+/// first. [`RealTimeDetector::balance`] and the self-learning pipeline
+/// re-spread the two halves proportionally before training on them, so
+/// ownership blocks of the incremental pool mix both classes.
 ///
 /// # Errors
 ///
@@ -1323,6 +1195,43 @@ pub fn balanced_indices(labels: &[bool]) -> Result<Vec<usize>, CoreError> {
         selected.push(negative_idx[idx.min(negative_idx.len() - 1)]);
     }
     Ok(selected)
+}
+
+/// [`balanced_indices`] with the two classes spread through each other by a
+/// proportional merge. Staged positives first, a seizure longer than the
+/// trainer's `block_size` would fill whole ownership blocks with one class;
+/// merged, single-class runs stay at the class ratio instead of the full
+/// class size. The one staging order of [`RealTimeDetector::balance`] and
+/// the self-learning pipeline.
+///
+/// # Errors
+///
+/// Same conditions as [`balanced_indices`].
+pub(crate) fn spread_balanced_indices(labels: &[bool]) -> Result<Vec<usize>, CoreError> {
+    let selected = balanced_indices(labels)?;
+    let num_pos = labels.iter().filter(|&&l| l).count();
+    let (pos, neg) = selected.split_at(num_pos);
+    let mut spread = Vec::with_capacity(selected.len());
+    let (mut p, mut n) = (0usize, 0usize);
+    while p < pos.len() || n < neg.len() {
+        // Advance whichever class lags its share.
+        if n >= neg.len() || (p < pos.len() && p * neg.len() <= n * pos.len()) {
+            spread.push(pos[p]);
+            p += 1;
+        } else {
+            spread.push(neg[n]);
+            n += 1;
+        }
+    }
+    Ok(spread)
+}
+
+/// The retraining-engine configuration a detector configuration implies.
+fn trainer_config(config: &RealTimeDetectorConfig) -> IncrementalTrainerConfig {
+    IncrementalTrainerConfig {
+        forest: config.forest,
+        block_size: config.incremental_block_size,
+    }
 }
 
 /// Deterministic Theil–Sen line fit `y ≈ slope · x + intercept`: median of
@@ -1356,17 +1265,6 @@ fn median_in_place(values: &mut [f64]) -> Option<f64> {
     // panicking mid-detect, and the lower median stays a real data point.
     values.sort_by(f64::total_cmp);
     Some(values[(values.len() - 1) / 2])
-}
-
-/// Standardizes a flat row-major matrix in place: `(x - mean) / std` per
-/// column, skipping the division for zero-variance columns.
-fn scale_flat(data: &mut [f64], means: &[f64], stds: &[f64]) {
-    let f = means.len().max(1);
-    for row in data.chunks_mut(f) {
-        for ((x, m), s) in row.iter_mut().zip(means.iter()).zip(stds.iter()) {
-            *x = if *s > 0.0 { (*x - *m) / *s } else { *x - *m };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1498,8 +1396,8 @@ mod tests {
         let count = detector.detect_into(record.signal(), &mut ws).unwrap();
         assert_eq!(count, batch.len());
         assert_eq!(ws.predictions(), &batch[..]);
-        let via_rows_ws = detector.predict_rows_with(&rows, &mut ws).unwrap();
-        assert_eq!(via_rows_ws, &batch[..]);
+        // Detecting leaves the raw features in the workspace.
+        assert_eq!(ws.matrix().to_rows(), rows);
 
         // Mismatched row widths are rejected instead of panicking.
         assert!(detector.predict_rows(&[vec![1.0, 2.0]]).is_err());
@@ -1577,14 +1475,28 @@ mod tests {
         assert!(cm.sensitivity() > 0.6, "sensitivity = {}", cm.sensitivity());
         assert!(cm.specificity() > 0.6, "specificity = {}", cm.specificity());
 
-        // A full batch fit supersedes the incremental pool, after which the
-        // incremental path refuses to (silently) restart from scratch.
-        detector.train(&balanced).unwrap();
-        assert!(detector.incremental_trainer().is_none());
-        assert!(matches!(
-            detector.retrain_incremental(&rows, nf, labels),
-            Err(CoreError::InvalidState { .. })
-        ));
+        // `train` discards the pool and makes one fresh fit, node-identical
+        // to a fresh detector's `retrain_incremental` on the same rows...
+        let first: Vec<usize> = (0..cut).collect();
+        let mut trained = detector.clone();
+        trained.train(&balanced.subset(&first).unwrap()).unwrap();
+        let mut fresh = RealTimeDetector::new(config);
+        fresh
+            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
+            .unwrap();
+        assert_eq!(trained.flat_forest(), fresh.flat_forest());
+        assert_eq!(trained.incremental_trainer(), fresh.incremental_trainer());
+
+        // ...and extending the trained detector equals one fit of the
+        // concatenated pool.
+        trained
+            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
+            .unwrap();
+        assert_eq!(trained.flat_forest(), reference.flat_forest());
+        assert_eq!(
+            trained.incremental_trainer(),
+            reference.incremental_trainer()
+        );
     }
 
     #[test]
@@ -1602,24 +1514,38 @@ mod tests {
     }
 
     #[test]
-    fn batch_trained_detector_state_round_trips_with_statistics() {
+    fn trained_detector_state_round_trips_and_resumes_node_identically() {
         let (record, truth) = record_and_truth(9);
         let mut detector = RealTimeDetector::new(fast_config());
         let training = detector
             .build_training_windows(record.signal(), &truth)
             .unwrap();
-        detector
-            .train(&detector.balance(&training).unwrap())
-            .unwrap();
+        let balanced = detector.balance(&training).unwrap();
+        let nf = balanced.num_features();
+        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
+        let labels = balanced.labels();
+        let cut = balanced.len() / 2;
+        let first: Vec<usize> = (0..cut).collect();
+        detector.train(&balanced.subset(&first).unwrap()).unwrap();
 
-        let restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();
-        // State-identical: config, forest, and the standardization stats the
-        // batch path re-applies at prediction time.
+        // State-identical: config, trainer and the forest re-stitched from it.
+        let mut restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();
         assert_eq!(restored, detector);
         assert_eq!(
             restored.detect(record.signal()).unwrap(),
             detector.detect(record.signal()).unwrap()
         );
+
+        // A `train`ed detector resumes like any other: extending it after
+        // the round trip matches extending it without one.
+        detector
+            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
+            .unwrap();
+        restored
+            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
+            .unwrap();
+        assert_eq!(restored.flat_forest(), detector.flat_forest());
+        assert_eq!(restored, detector);
     }
 
     #[test]
@@ -1688,34 +1614,12 @@ mod tests {
         reference.f64(detector.quality_gate().reference_log_std()[0]);
         reference.f64(detector.quality_gate().reference_log_std()[1]);
         reference.f64(detector.quality_gate().calibration_weight());
-        reference.u8(MODEL_INCREMENTAL);
+        reference.u8(MODEL_TRAINED);
         reference.nested(&persist::trainer_to_bytes(
             detector.incremental_trainer().unwrap(),
         ));
         assert_eq!(
             detector.save_state(),
-            reference.finish(SnapshotKind::RealTimeDetector)
-        );
-
-        // Batch model: statistics + nested forest.
-        let mut batch = RealTimeDetector::new(config);
-        batch.train(&balanced).unwrap();
-        let mut reference = SnapshotWriter::new();
-        reference.f64(config.window_secs);
-        reference.f64(config.overlap);
-        persist::write_forest_config(&mut reference, &config.forest);
-        reference.u64(config.seed);
-        reference.usize(config.incremental_block_size);
-        reference.bool(config.quality_gate);
-        reference.f64(batch.quality_gate().reference_log_std()[0]);
-        reference.f64(batch.quality_gate().reference_log_std()[1]);
-        reference.f64(batch.quality_gate().calibration_weight());
-        reference.u8(MODEL_BATCH);
-        reference.slice_f64(&batch.feature_means);
-        reference.slice_f64(&batch.feature_stds);
-        reference.nested(&persist::forest_to_bytes(batch.flat_forest().unwrap()));
-        assert_eq!(
-            batch.save_state(),
             reference.finish(SnapshotKind::RealTimeDetector)
         );
     }
@@ -1735,6 +1639,34 @@ mod tests {
             Err(CoreError::Persist(_))
         ));
         assert!(RealTimeDetector::load_state(b"not a snapshot, not even close").is_err());
+
+        // The retired standardized batch model (marker 1: feature means and
+        // stds, then a nested forest) is refused with a typed error naming
+        // the marker.
+        let config = fast_config();
+        let mut retired = SnapshotWriter::new();
+        retired.f64(config.window_secs);
+        retired.f64(config.overlap);
+        persist::write_forest_config(&mut retired, &config.forest);
+        retired.u64(config.seed);
+        retired.usize(config.incremental_block_size);
+        retired.bool(config.quality_gate);
+        retired.f64(0.0);
+        retired.f64(0.0);
+        retired.f64(0.0);
+        retired.u8(1);
+        retired.slice_f64(&[0.5]);
+        retired.slice_f64(&[2.0]);
+        let forest = IncrementalTrainer::new(trainer_config(&config), 0)
+            .retrain(&[0.0, 1.0, 2.0, 3.0], 1, &[false, false, true, true])
+            .unwrap();
+        retired.nested(&persist::forest_to_bytes(&forest));
+        match RealTimeDetector::load_state(&retired.finish(SnapshotKind::RealTimeDetector)) {
+            Err(CoreError::Persist(PersistError::Corrupted { detail })) => {
+                assert!(detail.contains("marker 1"), "{detail}");
+            }
+            other => panic!("marker 1 must be rejected as corrupted, got {other:?}"),
+        }
     }
 
     #[test]

@@ -41,12 +41,9 @@ use seizure_features::scratch::FeatureScratchPool;
 pub struct FeatureWorkspace {
     pub(crate) matrix: FeatureMatrix,
     pub(crate) pool: FeatureScratchPool,
-    /// Per-window class predictions of the last detect/predict call routed
-    /// through this workspace (refilled in place, never re-grown per record).
+    /// Per-window class predictions of the last detect call routed through
+    /// this workspace (refilled in place, never re-grown per record).
     pub(crate) predictions: Vec<bool>,
-    /// Flat staging buffer for row-vector prediction inputs
-    /// ([`RealTimeDetector::predict_rows_with`](crate::realtime::RealTimeDetector::predict_rows_with)).
-    pub(crate) row_buf: Vec<f64>,
     /// Per-window quality indicator matrix of the last gated detect /
     /// calibration call (separate from `matrix` so the quality columns
     /// survive the feature extraction that follows them).
@@ -67,17 +64,16 @@ impl FeatureWorkspace {
         Self::default()
     }
 
-    /// The workspace's feature matrix as the last operation left it. After
-    /// an extraction call this holds raw features; the detect/evaluate paths
-    /// standardize the buffer in place afterwards, so read rows out before
-    /// classifying (or re-extract) when the raw values matter.
+    /// The workspace's feature matrix as the last operation left it: the raw
+    /// rich features of the last extraction, detect or evaluate call (the
+    /// forest classifies raw features, so detecting leaves them intact).
     pub fn matrix(&self) -> &FeatureMatrix {
         &self.matrix
     }
 
     /// The per-window predictions of the last
     /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
-    /// or `predict_rows_with` call that used this workspace.
+    /// call that used this workspace.
     pub fn predictions(&self) -> &[bool] {
         &self.predictions
     }

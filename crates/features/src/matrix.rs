@@ -87,16 +87,9 @@ impl FeatureMatrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns its flat row-major buffer, for
-    /// callers that want to transform the features in place (e.g. batch
-    /// standardization) without copying.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
-    /// Mutable access to the flat row-major buffer, for in-place batch
-    /// transforms (e.g. standardization) that keep the matrix alive for
-    /// reuse.
+    /// Mutable access to the flat row-major buffer, for callers that fill or
+    /// transform a matrix in place and keep it alive for reuse (e.g. writing
+    /// one window's quality row into a preallocated one-row matrix).
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }

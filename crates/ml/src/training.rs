@@ -1638,4 +1638,111 @@ mod tests {
         let blocked = TrainingSet::from_rows_in_blocks(&rows, 2, &labels, 8).unwrap();
         assert_eq!(train_forest(&blocked, &config, 1).unwrap(), forest);
     }
+
+    /// Forests split on per-feature thresholds, so per-column
+    /// standardization changes no decision: with the same seed, the engine
+    /// grows the same trees on raw rows and on z-scored rows (population
+    /// std, constant columns only centred) — equal topology, split features
+    /// and leaf probabilities — and each z-scored threshold `t'` maps back
+    /// to the raw threshold `t` as `t'·s + m` within
+    /// `8·ε·(|m| + |t'·s|)`: a few roundings of the scaling, the midpoint
+    /// and the map back, each relative to the column's offset and spread.
+    ///
+    /// Carve-out: the z-score is monotone but rounds, so two raw values of
+    /// one column closer than an ulp of the column's scale can merge into
+    /// one scaled value (or their midpoint can round onto one of them), and
+    /// a split between them vanishes or moves. Continuous random columns
+    /// stay far from that.
+    #[test]
+    fn standardization_changes_no_split() {
+        // (scale, offset) per column: spreads from 1e-6 to 1e6, offsets far
+        // from zero, and a constant column (index 3).
+        let columns = [
+            (1e-6, 0.0),
+            (1.0, 3.0),
+            (1e3, -2e4),
+            (0.0, 42.0),
+            (1e6, 5e7),
+            (0.25, -0.5),
+        ];
+        let nf = columns.len();
+        let config = RandomForestConfig {
+            n_trees: 15,
+            max_depth: 8,
+            ..RandomForestConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5ca1e);
+        for case in 0..8u64 {
+            let n = 120 + 20 * case as usize;
+            let mut raw = Vec::with_capacity(n * nf);
+            let mut labels = Vec::with_capacity(n);
+            for _ in 0..n {
+                let u: Vec<f64> = (0..nf).map(|_| rng.gen_range(0.0..1.0)).collect();
+                raw.extend(columns.iter().zip(&u).map(|(&(s, m), x)| m + s * x));
+                labels.push(u[0] + 0.5 * u[2] + 0.4 * rng.gen_range(0.0..1.0) > 1.0);
+            }
+
+            // The z-score oracle: column sums in row order, population std.
+            let mut means = vec![0.0; nf];
+            for row in raw.chunks_exact(nf) {
+                for (m, x) in means.iter_mut().zip(row) {
+                    *m += x;
+                }
+            }
+            means.iter_mut().for_each(|m| *m /= n as f64);
+            let mut stds = vec![0.0; nf];
+            for row in raw.chunks_exact(nf) {
+                for ((s, x), m) in stds.iter_mut().zip(row).zip(&means) {
+                    *s += (x - m) * (x - m);
+                }
+            }
+            stds.iter_mut().for_each(|s| *s = (*s / n as f64).sqrt());
+            assert_eq!(stds[3], 0.0);
+            let scaled: Vec<f64> = raw
+                .chunks_exact(nf)
+                .flat_map(|row| {
+                    row.iter()
+                        .zip(means.iter().zip(&stds))
+                        .map(|(x, (m, s))| if *s > 0.0 { (x - m) / s } else { x - m })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+
+            let fit = |rows: &[f64]| {
+                let set = TrainingSet::from_rows(rows, nf, &labels).unwrap();
+                train_forest(&set, &config, case).unwrap()
+            };
+            let (a, b) = (fit(&raw), fit(&scaled));
+            assert_eq!(a.roots, b.roots, "case {case}");
+            assert_eq!(a.feature, b.feature, "case {case}");
+            assert_eq!(a.left, b.left, "case {case}");
+            assert_eq!(a.right, b.right, "case {case}");
+            assert_eq!(a.leaf_prob, b.leaf_prob, "case {case}");
+            let mut splits = 0;
+            for (node, &f) in a.feature.iter().enumerate() {
+                if f == LEAF {
+                    continue;
+                }
+                let f = f as usize;
+                assert_ne!(f, 3, "case {case}: the constant column never splits");
+                let spread = b.threshold[node] * stds[f];
+                let back = spread + means[f];
+                let bound = 8.0 * f64::EPSILON * (means[f].abs() + spread.abs());
+                assert!(
+                    (back - a.threshold[node]).abs() <= bound,
+                    "case {case}, node {node}: {back} vs {}",
+                    a.threshold[node]
+                );
+                splits += 1;
+            }
+            assert!(splits > 2 * config.n_trees, "case {case}: trees must split");
+            for (x, z) in raw.chunks_exact(nf).zip(scaled.chunks_exact(nf)) {
+                assert_eq!(
+                    a.predict_proba(x).to_bits(),
+                    b.predict_proba(z).to_bits(),
+                    "case {case}"
+                );
+            }
+        }
+    }
 }
