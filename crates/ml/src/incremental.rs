@@ -73,8 +73,8 @@ use crate::error::MlError;
 use crate::flat::FlatForest;
 use crate::forest::RandomForestConfig;
 use crate::training::{
-    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, IdWidth, NodeArena,
-    TrainingSet, TreeJob, MAX_RUN_BLOCK,
+    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, NodeArena, TrainingSet,
+    TreeJob, MAX_RUN_BLOCK,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -404,7 +404,7 @@ impl IncrementalTrainer {
                 seed: tree_stream_seed(self.seed, *t),
             })
             .collect();
-        let arenas = fit_tree_jobs(set, &tree_config, &jobs, IdWidth::Auto)?;
+        let arenas = fit_tree_jobs(set, &tree_config, &jobs, None)?;
 
         self.trees.resize(n_trees, TreeState::default());
         self.last_refit = pending.len();

@@ -8,10 +8,12 @@
 //! k-means / k-medoids detection (Smart & Chen, CIBCB 2015). Everything needed
 //! for those experiments is implemented here from scratch:
 //!
-//! * [`tree`] — CART-style decision trees with Gini impurity,
-//! * [`forest`] — bagged random forests with per-split feature subsampling,
+//! * [`forest`] — the random-forest hyper-parameters,
 //! * [`training`] — the parallel, scratch-backed training engine: presorted
-//!   feature columns, arena-built trees, bit-identical to the boxed path,
+//!   feature columns, arena-built trees, bit-identical to a boxed
+//!   sort-and-scan CART oracle kept in the crate's tests,
+//! * [`flat`] — the fitted forest in struct-of-arrays node storage, with
+//!   allocation-free batch prediction over flat feature matrices,
 //! * [`incremental`] — the stateful retraining engine for growing training
 //!   sets: appends merge into the presorted columns and only the trees whose
 //!   bootstrap pools were touched are refitted,
@@ -21,29 +23,27 @@
 //!   across power cycles,
 //! * [`metrics`] — confusion matrices, sensitivity, specificity and the
 //!   geometric mean used by the paper's Fig. 4,
-//! * [`split`] — train/test and leave-one-group-out splitting utilities,
-//! * [`dataset`] — the labeled design-matrix container shared by all of them.
+//! * [`dataset`] — the labeled row-vector design-matrix container.
 //!
 //! # Example
 //!
 //! ```
-//! use seizure_ml::dataset::Dataset;
-//! use seizure_ml::forest::{RandomForest, RandomForestConfig};
 //! use seizure_ml::metrics::ConfusionMatrix;
+//! use seizure_ml::{train_forest, RandomForestConfig, TrainingSet};
 //!
 //! # fn main() -> Result<(), seizure_ml::MlError> {
-//! // A trivially separable dataset.
+//! // A trivially separable dataset, row-major.
 //! let mut rows = Vec::new();
 //! let mut labels = Vec::new();
 //! for i in 0..40 {
 //!     let x = i as f64 / 10.0;
-//!     rows.push(vec![x, (i % 5) as f64]);
+//!     rows.extend([x, (i % 5) as f64]);
 //!     labels.push(x > 2.0);
 //! }
-//! let data = Dataset::new(rows, labels)?;
-//! let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 7)?;
-//! let predictions = forest.predict_batch(data.features());
-//! let cm = ConfusionMatrix::from_predictions(&predictions, data.labels())?;
+//! let set = TrainingSet::from_rows(&rows, 2, &labels)?;
+//! let forest = train_forest(&set, &RandomForestConfig::default(), 7)?;
+//! let predictions = forest.predict_batch(&rows, 2)?;
+//! let cm = ConfusionMatrix::from_predictions(&predictions, &labels)?;
 //! assert!(cm.accuracy() > 0.9);
 //! # Ok(())
 //! # }
@@ -61,16 +61,15 @@ pub mod kmeans;
 pub mod kmedoids;
 pub mod metrics;
 pub mod persist;
-pub mod split;
+#[cfg(test)]
+mod reference;
 pub mod training;
-pub mod tree;
 
 pub use dataset::Dataset;
 pub use error::MlError;
 pub use flat::FlatForest;
-pub use forest::{RandomForest, RandomForestConfig};
+pub use forest::RandomForestConfig;
 pub use incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 pub use metrics::ConfusionMatrix;
 pub use persist::PersistError;
-pub use training::{train_forest, train_forest_with_width, IdWidth, TrainingSet};
-pub use tree::{DecisionTree, DecisionTreeConfig};
+pub use training::{train_forest, TrainingSet};

@@ -1,9 +1,9 @@
 //! Parallel, scratch-backed random-forest training engine.
 //!
-//! [`RandomForest::fit`](crate::forest::RandomForest::fit) re-sorts the
-//! node's samples for every candidate feature of every split and allocates a
-//! boxed node per tree position, which makes retraining the dominant cost of
-//! the paper's self-learning loop. This module is the training twin of
+//! The textbook CART fit re-sorts the node's samples for every candidate
+//! feature of every split and allocates a boxed node per tree position,
+//! which would make retraining the dominant cost of the paper's
+//! self-learning loop. This module is the training twin of
 //! [`FlatForest`]: a [`TrainingSet`] stores the design matrix in **block-major
 //! columns** — the pool is cut into fixed-size sample blocks, each block
 //! holding its feature values feature-major — and keeps one **sorted run of
@@ -32,18 +32,18 @@
 //! * sample ids inside a run are block-relative u16 (blocks never exceed
 //!   65 536 samples), and the scratch's id width is chosen **per selection**:
 //!   narrow (u16) words whenever the selected blocks hold fewer than 65 536
-//!   samples ([`IdWidth::Auto`]), halving the memory traffic of every stable
-//!   partition even when the full pool has long outgrown the u16 range; the
-//!   wide (u32) path packs the label into bit 31 and both widths produce
-//!   bit-identical forests (a property-tested invariant).
+//!   samples, halving the memory traffic of every stable partition even when
+//!   the full pool has long outgrown the u16 range; the wide (u32) path packs
+//!   the label into bit 31 and both widths produce bit-identical forests (a
+//!   tested invariant).
 //!
-//! The engine is **bit-identical** to the boxed path: bootstrap draws come
-//! from the same shared RNG stream consumed in tree order, each tree's
-//! feature subsampling replays the same per-tree ChaCha8 stream, and the
-//! split scan applies the same floating-point operations in the same order as
-//! [`DecisionTree::fit_with_indices`](crate::tree::DecisionTree::fit_with_indices),
-//! so [`train_forest`] equals `FlatForest::from_forest(&RandomForest::fit(..))`
-//! node for node (a property-tested invariant).
+//! The engine is **bit-identical** to the crate's test oracle, a boxed
+//! sort-and-scan CART fit with a sequential bagging loop: bootstrap draws
+//! come from one shared RNG stream consumed in tree order, each tree's
+//! feature subsampling replays its own per-tree ChaCha8 stream, and the
+//! split scan applies the oracle's floating-point operations in the same
+//! order, so [`train_forest`] equals the oracle's forest node for node (a
+//! property-tested invariant).
 //!
 //! For retraining that reuses trees across pool growth instead of refitting
 //! the whole ensemble, see [`IncrementalTrainer`], which is built on the
@@ -54,7 +54,6 @@ use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::flat::{FlatForest, LEAF};
 use crate::forest::RandomForestConfig;
-use crate::tree::{gini, DecisionTreeConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -568,21 +567,6 @@ impl SampleWord for u16 {
     }
 }
 
-/// Width of the sample-id words in the tree-growth scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdWidth {
-    /// Narrow (u16) ids whenever the tree's block selection holds fewer than
-    /// 65 536 samples, wide (u32) ids otherwise. Because ids are
-    /// selection-local, subset-tree refits keep narrow ids long after the
-    /// full pool crosses 65 536 samples.
-    #[default]
-    Auto,
-    /// Force u16 ids (errors when a selection exceeds 65 536 samples).
-    Narrow,
-    /// Force u32 ids.
-    Wide,
-}
-
 /// Monotone key of `f64::total_cmp`: the unsigned order of the mapped bits
 /// equals the total order of the floats (NaN-safe), so the k-way merge
 /// compares run heads with one integer comparison.
@@ -895,11 +879,26 @@ impl NodeArena {
     }
 }
 
-/// The per-tree seed feeding each tree's private feature-subsampling stream
-/// (the same mixing the boxed forest applies).
+/// The per-tree seed feeding each tree's private feature-subsampling stream.
 pub(crate) fn tree_stream_seed(seed: u64, t: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(t as u64)
+}
+
+/// Gini impurity of a binary class mixture.
+pub(crate) fn gini(p: f64) -> f64 {
+    2.0 * p * (1.0 - p)
+}
+
+/// Per-tree growth limits, resolved from a [`RandomForestConfig`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TreeConfig {
+    /// Maximum tree depth (the root is depth 0).
+    pub(crate) max_depth: usize,
+    /// Minimum number of samples required to attempt a split.
+    pub(crate) min_samples_split: usize,
+    /// Number of features drawn as split candidates at each node.
+    pub(crate) max_features: usize,
 }
 
 /// Validates the forest hyper-parameters against `set` and resolves them
@@ -908,7 +907,7 @@ pub(crate) fn tree_stream_seed(seed: u64, t: usize) -> u64 {
 pub(crate) fn resolve_tree_config(
     set: &TrainingSet,
     config: &RandomForestConfig,
-) -> Result<DecisionTreeConfig, MlError> {
+) -> Result<TreeConfig, MlError> {
     if config.n_trees == 0 {
         return Err(MlError::InvalidParameter {
             name: "n_trees",
@@ -939,10 +938,10 @@ pub(crate) fn resolve_tree_config(
         }
         None => ((set.num_features() as f64).sqrt().ceil() as usize).max(1),
     };
-    Ok(DecisionTreeConfig {
+    Ok(TreeConfig {
         max_depth: config.max_depth,
         min_samples_split: config.min_samples_split,
-        max_features: Some(max_features),
+        max_features,
     })
 }
 
@@ -960,32 +959,30 @@ pub(crate) struct TreeJob<'a> {
 
 /// Fits one arena per job in parallel (per-worker scratch, deterministic
 /// per-tree RNG streams), dispatching each job on its selection's sample-id
-/// width. Both widths produce bit-identical arenas; the narrow path merely
-/// halves the partition traffic.
+/// width: narrow (u16) ids when the selection holds fewer than 65 536
+/// samples, wide (u32) ids otherwise. `Some(narrow)` in `narrow_ids` forces
+/// one width on every job instead (tests pin both widths to the same
+/// forest), refusing a narrow width that cannot address a selection. Both
+/// widths produce bit-identical arenas; the narrow path merely halves the
+/// partition traffic.
 pub(crate) fn fit_tree_jobs(
     set: &TrainingSet,
-    tree_config: &DecisionTreeConfig,
+    tree_config: &TreeConfig,
     jobs: &[TreeJob<'_>],
-    width: IdWidth,
+    narrow_ids: Option<bool>,
 ) -> Result<Vec<NodeArena>, MlError> {
     let mut narrow = Vec::with_capacity(jobs.len());
     for job in jobs {
         let sel: usize = job.blocks.iter().map(|&b| set.block_len(b as usize)).sum();
-        narrow.push(match width {
-            IdWidth::Auto => sel < NARROW_LIMIT,
-            IdWidth::Wide => false,
-            IdWidth::Narrow => {
-                if sel > NARROW_LIMIT {
-                    return Err(MlError::InvalidParameter {
-                        name: "id_width",
-                        reason: format!(
-                            "narrow (u16) ids address at most {NARROW_LIMIT} samples, got {sel}"
-                        ),
-                    });
-                }
-                true
-            }
-        });
+        if narrow_ids == Some(true) && sel > NARROW_LIMIT {
+            return Err(MlError::InvalidParameter {
+                name: "id_width",
+                reason: format!(
+                    "narrow (u16) ids address at most {NARROW_LIMIT} samples, got {sel}"
+                ),
+            });
+        }
+        narrow.push(narrow_ids.unwrap_or(sel < NARROW_LIMIT));
     }
     seizure_parallel::par_map_init::<_, _, MlError, _, _>(
         jobs.len(),
@@ -1009,8 +1006,8 @@ pub(crate) fn fit_tree_jobs(
 }
 
 /// Stitches per-tree arenas into one flat forest, offsetting split children
-/// by each tree's base index (leaves keep the 0/0 children the boxed
-/// compiler leaves behind, preserving exact equality).
+/// by each tree's base index (leaves keep 0/0 children, the layout the test
+/// oracle's DFS flattening also emits, so forests compare exactly).
 pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatForest {
     let total: usize = trees.iter().map(|t| t.len()).sum();
     assert!(
@@ -1048,50 +1045,42 @@ pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatFo
 
 /// Fits a random forest on a prepared [`TrainingSet`], producing the flat
 /// compiled representation directly. Trees are fitted in parallel (one
-/// deterministic RNG stream per tree), and the result is bit-identical to
-/// `FlatForest::from_forest(&RandomForest::fit(..))` with the same
-/// configuration and seed — **regardless of the set's run-block
-/// partitioning**, because the k-way run merge reproduces the whole-pool
-/// sort exactly. Sample ids are sized automatically ([`IdWidth::Auto`]).
+/// deterministic RNG stream per tree), and the result is bit-identical to the
+/// crate's boxed test oracle with the same configuration and seed —
+/// **regardless of the set's run-block partitioning**, because the k-way run
+/// merge reproduces the whole-pool sort exactly. Sample ids are sized per
+/// tree selection (u16 below 65 536 samples).
 ///
 /// The bit-identity contract holds for feature matrices without NaN values
 /// (every real feature path). With NaNs, both split finders are panic-free
 /// and deterministic (`f64::total_cmp` total order), but the presorted runs
-/// here and the boxed path's per-node sorts may order bit-identical NaNs
+/// here and the oracle's per-node sorts may order bit-identical NaNs
 /// differently within a tie group and then choose different (degenerate)
 /// splits.
 ///
 /// # Errors
 ///
-/// Returns [`MlError::InvalidParameter`] under the same conditions as
-/// [`RandomForest::fit`](crate::forest::RandomForest::fit): zero `n_trees`,
-/// a bootstrap fraction outside `(0, 1]`, zero `max_depth` or an
-/// out-of-range `max_features`.
+/// Returns [`MlError::InvalidParameter`] for zero `n_trees`, a bootstrap
+/// fraction outside `(0, 1]`, zero `max_depth` or a `max_features` outside
+/// `[1, num_features]`.
 pub fn train_forest(
     set: &TrainingSet,
     config: &RandomForestConfig,
     seed: u64,
 ) -> Result<FlatForest, MlError> {
-    train_forest_with_width(set, config, seed, IdWidth::Auto)
+    fit_forest(set, config, seed, None)
 }
 
-/// [`train_forest`] with an explicit sample-id width — both widths produce
-/// bit-identical forests; this entry point exists so the equivalence is
-/// testable and the wide path remains reachable below the auto threshold.
-///
-/// # Errors
-///
-/// Same conditions as [`train_forest`], plus [`MlError::InvalidParameter`]
-/// when [`IdWidth::Narrow`] cannot address the set's samples.
-pub fn train_forest_with_width(
+/// [`train_forest`] with `narrow_ids` passed through to [`fit_tree_jobs`].
+fn fit_forest(
     set: &TrainingSet,
     config: &RandomForestConfig,
     seed: u64,
-    width: IdWidth,
+    narrow_ids: Option<bool>,
 ) -> Result<FlatForest, MlError> {
     let tree_config = resolve_tree_config(set, config)?;
 
-    // Bootstrap draws replay the boxed path's shared RNG stream: all trees'
+    // Bootstrap draws come from one shared RNG stream: all trees'
     // indices are drawn sequentially up front so the fan-out cannot perturb
     // the sequence. Every tree selects the whole pool, so the local draws
     // equal the global ids the stream produces.
@@ -1110,7 +1099,7 @@ pub fn train_forest_with_width(
             seed: tree_stream_seed(seed, t),
         })
         .collect();
-    let trees = fit_tree_jobs(set, &tree_config, &jobs, width)?;
+    let trees = fit_tree_jobs(set, &tree_config, &jobs, narrow_ids)?;
     let refs: Vec<&NodeArena> = trees.iter().collect();
     Ok(stitch_forest(set.num_features(), &refs))
 }
@@ -1120,7 +1109,7 @@ pub fn train_forest_with_width(
 /// multisets and recurses over the splits.
 fn build_tree<W: SampleWord>(
     set: &TrainingSet,
-    config: &DecisionTreeConfig,
+    config: &TreeConfig,
     job: &TreeJob<'_>,
     pool: &mut LocalPool,
     scratch: &mut SplitScratch<W>,
@@ -1161,13 +1150,13 @@ struct NodeSpan {
 
 /// Recursively grows the node covering `span` (the same `[lo, hi)` range
 /// across every feature's sorted segment), appending to `arena` in DFS
-/// preorder exactly like the boxed builder recursion. All sample ids are
+/// preorder exactly like the test oracle's boxed recursion. All sample ids are
 /// selection-local against `view`.
 fn build_node<W: SampleWord>(
     view: &PoolView<'_>,
     scratch: &mut SplitScratch<W>,
     arena: &mut NodeArena,
-    config: &DecisionTreeConfig,
+    config: &TreeConfig,
     span: NodeSpan,
     depth: usize,
     rng: &mut ChaCha8Rng,
@@ -1183,10 +1172,8 @@ fn build_node<W: SampleWord>(
     let num_features = view.num_features;
     scratch.features.clear();
     scratch.features.extend(0..num_features);
-    if let Some(k) = config.max_features {
-        scratch.features.shuffle(rng);
-        scratch.features.truncate(k);
-    }
+    scratch.features.shuffle(rng);
+    scratch.features.truncate(config.max_features);
 
     let parent_impurity = gini(p);
     let total_pos = pos;
@@ -1227,9 +1214,9 @@ fn build_node<W: SampleWord>(
     };
 
     // Evaluate the split predicate once per element into the side table,
-    // counting the left side's size and positives; the boxed builder
-    // re-checks emptiness on the partitioned sets because midpoint rounding
-    // can push every element to one side.
+    // counting the left side's size and positives; an empty side becomes a
+    // leaf (as in the oracle) because midpoint rounding can push every
+    // element to one side.
     let mut left_n = 0usize;
     let mut left_pos = 0usize;
     {
@@ -1307,24 +1294,24 @@ fn build_node<W: SampleWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::RandomForest;
+    use crate::reference::{blob_dataset, labeled_points};
+    use proptest::prelude::*;
 
-    fn blob_dataset(n_per_class: usize, separation: f64) -> Dataset {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n_per_class {
-            let jitter1 = ((i * 37 + 13) % 101) as f64 / 101.0 - 0.5;
-            let jitter2 = ((i * 53 + 29) % 97) as f64 / 97.0 - 0.5;
-            rows.push(vec![jitter1, jitter2, ((i % 7) as f64) / 7.0]);
-            labels.push(false);
-            rows.push(vec![
-                separation + jitter2,
-                separation + jitter1,
-                ((i % 5) as f64) / 5.0,
-            ]);
-            labels.push(true);
-        }
-        Dataset::new(rows, labels).unwrap()
+    /// Width of the sample-id words, forced so both widths can be compared.
+    #[derive(Debug, Clone, Copy)]
+    enum IdWidth {
+        Narrow,
+        Wide,
+    }
+
+    /// [`train_forest`] with every tree pinned to one sample-id width.
+    fn train_forest_with_width(
+        set: &TrainingSet,
+        config: &RandomForestConfig,
+        seed: u64,
+        width: IdWidth,
+    ) -> Result<FlatForest, MlError> {
+        fit_forest(set, config, seed, Some(matches!(width, IdWidth::Narrow)))
     }
 
     /// Deterministic pseudo-random row-major matrix plus labels (only the
@@ -1518,57 +1505,62 @@ mod tests {
         assert_eq!(set, rebuilt);
     }
 
+    /// An AND pattern (positive only when both features are high) needs
+    /// depth >= 2; well-separated blobs are classified with extreme
+    /// probabilities; the fit is a pure function of the seed.
     #[test]
-    fn engine_matches_boxed_forest_exactly() {
-        let data = blob_dataset(40, 1.5);
-        let config = RandomForestConfig {
-            n_trees: 13,
-            max_depth: 7,
-            ..RandomForestConfig::default()
-        };
-        for seed in [0, 1, 7, 42] {
-            let boxed = RandomForest::fit(&data, &config, seed).unwrap();
-            let reference = FlatForest::from_forest(&boxed);
-            let set = TrainingSet::from_dataset(&data).unwrap();
-            let engine = train_forest(&set, &config, seed).unwrap();
-            assert_eq!(engine, reference, "seed {seed}");
-        }
-    }
+    fn engine_learns_blobs_and_interactions() {
+        let blobs = blob_dataset(60, 4.0);
+        let set = TrainingSet::from_dataset(&blobs).unwrap();
+        let forest = train_forest(&set, &RandomForestConfig::default(), 3).unwrap();
+        let correct = blobs
+            .features()
+            .iter()
+            .zip(blobs.labels())
+            .filter(|(row, &label)| forest.predict(row) == label)
+            .count();
+        assert!(correct as f64 / blobs.len() as f64 > 0.97);
+        assert!(forest.predict_proba(&[4.0, 4.0, 0.5]) > 0.9);
+        assert!(forest.predict_proba(&[0.0, 0.0, 0.5]) < 0.1);
+        assert_eq!(
+            train_forest(&set, &RandomForestConfig::default(), 3).unwrap(),
+            forest
+        );
+        assert_ne!(
+            train_forest(&set, &RandomForestConfig::default(), 4).unwrap(),
+            forest
+        );
 
-    #[test]
-    fn narrow_and_wide_ids_produce_identical_forests() {
-        let data = blob_dataset(35, 1.2);
-        let set = TrainingSet::from_dataset(&data).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 9,
-            max_depth: 6,
-            ..RandomForestConfig::default()
-        };
-        for seed in [0, 5, 11] {
-            let narrow = train_forest_with_width(&set, &config, seed, IdWidth::Narrow).unwrap();
-            let wide = train_forest_with_width(&set, &config, seed, IdWidth::Wide).unwrap();
-            assert_eq!(narrow, wide, "seed {seed}");
-            // Auto picks the narrow path here (70 samples).
-            assert_eq!(train_forest(&set, &config, seed).unwrap(), narrow);
-        }
-    }
-
-    #[test]
-    fn engine_handles_duplicate_feature_values() {
-        // Constant column plus a discrete column with heavy ties.
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![1.0, (i % 3) as f64, (i % 5) as f64])
+        let rows: Vec<f64> = (0..40)
+            .flat_map(|i| {
+                let jitter = (i / 4) as f64 * 0.01;
+                let (hi_a, hi_b) = (i % 4 >= 2, i % 2 == 1);
+                [
+                    if hi_a { 1.0 - jitter } else { jitter },
+                    if hi_b { 1.0 - jitter } else { jitter },
+                ]
+            })
             .collect();
-        let labels: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-        let data = Dataset::new(rows, labels).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 9,
-            max_depth: 5,
-            ..RandomForestConfig::default()
+        let labels: Vec<bool> = (0..40).map(|i| i % 4 == 3).collect();
+        let set = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
+        let errors = |max_depth: usize| {
+            let config = RandomForestConfig {
+                n_trees: 1,
+                max_depth,
+                max_features: Some(2),
+                bootstrap_fraction: 1.0,
+                ..RandomForestConfig::default()
+            };
+            let tree = train_forest(&set, &config, 0).unwrap();
+            let predictions = tree.predict_batch(&rows, 2).unwrap();
+            predictions
+                .iter()
+                .zip(&labels)
+                .filter(|(p, l)| p != l)
+                .count()
         };
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, 3).unwrap());
-        let set = TrainingSet::from_dataset(&data).unwrap();
-        assert_eq!(train_forest(&set, &config, 3).unwrap(), reference);
+        assert!(errors(1) > 0);
+        assert_eq!(errors(12), 0);
     }
 
     #[test]
@@ -1744,5 +1736,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn narrow_and_wide_sample_ids_fit_bit_identical_forests(
+            (rows, labels) in labeled_points(6..50),
+            seed in 0u64..30,
+            n_trees in 1usize..10,
+        ) {
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
+            let config = RandomForestConfig { n_trees, max_depth: 6, ..Default::default() };
+            let narrow = train_forest_with_width(&set, &config, seed, IdWidth::Narrow).unwrap();
+            let wide = train_forest_with_width(&set, &config, seed, IdWidth::Wide).unwrap();
+            prop_assert_eq!(&narrow, &wide);
+            // Auto resolves to the narrow path below the 65536-sample boundary.
+            prop_assert_eq!(&train_forest(&set, &config, seed).unwrap(), &narrow);
+        }
+    }
+
+    /// A large pseudo-random training set for the id-width boundary check.
+    fn boundary_set(n: usize) -> TrainingSet {
+        let mut rows = Vec::with_capacity(n * 2);
+        let mut labels = Vec::with_capacity(n);
+        for i in 0..n {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            rows.push((h % 9973) as f64);
+            rows.push(((h >> 32) % 101) as f64);
+            labels.push(h % 89 < 44);
+        }
+        TrainingSet::from_rows(&rows, 2, &labels).unwrap()
+    }
+
+    /// The narrow (u16) and wide (u32) sample-id paths must agree exactly on
+    /// both sides of the 65535/65536 boundary, where the auto selection flips
+    /// from narrow to wide; one sample past the narrow address space the
+    /// forced narrow path must refuse instead of truncating ids.
+    #[test]
+    fn u16_sample_ids_are_bit_identical_at_the_65536_boundary() {
+        let config = RandomForestConfig {
+            n_trees: 2,
+            max_depth: 4,
+            bootstrap_fraction: 0.02,
+            max_features: Some(2),
+            ..RandomForestConfig::default()
+        };
+        // n = 65535: auto selects narrow ids.
+        let below = boundary_set(65535);
+        let narrow = train_forest_with_width(&below, &config, 3, IdWidth::Narrow).unwrap();
+        let wide = train_forest_with_width(&below, &config, 3, IdWidth::Wide).unwrap();
+        assert_eq!(narrow, wide);
+        assert_eq!(train_forest(&below, &config, 3).unwrap(), narrow);
+        // n = 65536: auto switches to wide ids; narrow still addresses
+        // exactly 65536 samples (ids 0..=65535) and stays bit-identical.
+        let at = boundary_set(65536);
+        let wide = train_forest_with_width(&at, &config, 3, IdWidth::Wide).unwrap();
+        assert_eq!(train_forest(&at, &config, 3).unwrap(), wide);
+        assert_eq!(
+            train_forest_with_width(&at, &config, 3, IdWidth::Narrow).unwrap(),
+            wide
+        );
+        // n = 65537: the narrow address space is exhausted.
+        let past = boundary_set(65537);
+        assert!(train_forest_with_width(&past, &config, 3, IdWidth::Narrow).is_err());
+        assert_eq!(
+            train_forest(&past, &config, 3).unwrap(),
+            train_forest_with_width(&past, &config, 3, IdWidth::Wide).unwrap()
+        );
     }
 }

@@ -1,17 +1,13 @@
 //! Property-based tests for the machine-learning substrate.
 
 use proptest::prelude::*;
-use seizure_ml::dataset::Dataset;
-use seizure_ml::flat::FlatForest;
-use seizure_ml::forest::{RandomForest, RandomForestConfig};
+use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::metrics::{geometric_mean, ConfusionMatrix};
 use seizure_ml::persist::journal::{replay, JournalWriter};
 use seizure_ml::persist::{trainer_from_bytes, trainer_to_bytes};
-use seizure_ml::split::{leave_one_group_out, stratified_split, train_test_split};
-use seizure_ml::training::{train_forest, train_forest_with_width, IdWidth, TrainingSet};
-use seizure_ml::tree::{DecisionTree, DecisionTreeConfig};
+use seizure_ml::training::{train_forest, TrainingSet};
 
 fn labeled_points(n: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     prop::collection::vec((prop::collection::vec(-50.0f64..50.0, 3), any::<bool>()), n)
@@ -44,8 +40,10 @@ proptest! {
 
     #[test]
     fn tree_probabilities_are_probabilities((rows, labels) in labeled_points(4..60)) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
-        let tree = DecisionTree::fit(&data, &DecisionTreeConfig::default(), 0).unwrap();
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
+        let config = RandomForestConfig { n_trees: 1, max_depth: 12, max_features: Some(3), ..Default::default() };
+        let tree = train_forest(&set, &config, 0).unwrap();
         for row in &rows {
             let p = tree.predict_proba(row);
             prop_assert!((0.0..=1.0).contains(&p));
@@ -55,84 +53,14 @@ proptest! {
 
     #[test]
     fn forest_probability_is_mean_of_votes((rows, labels) in labeled_points(6..40)) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
         let config = RandomForestConfig { n_trees: 7, max_depth: 5, ..Default::default() };
-        let forest = RandomForest::fit(&data, &config, 3).unwrap();
+        let forest = train_forest(&set, &config, 3).unwrap();
         for row in rows.iter().take(10) {
             let p = forest.predict_proba(row);
             prop_assert!((0.0..=1.0).contains(&p));
         }
-    }
-
-    #[test]
-    fn flat_forest_is_bit_identical_to_boxed_forest((rows, labels) in labeled_points(6..50), seed in 0u64..50) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
-        let config = RandomForestConfig { n_trees: 9, max_depth: 6, ..Default::default() };
-        let forest = RandomForest::fit(&data, &config, seed).unwrap();
-        let flat = FlatForest::from_forest(&forest);
-        prop_assert_eq!(flat.num_trees(), forest.num_trees());
-
-        let matrix: Vec<f64> = rows.iter().flatten().copied().collect();
-        let probas = flat.predict_proba_batch(&matrix, 3).unwrap();
-        let classes = flat.predict_batch(&matrix, 3).unwrap();
-        for ((row, p), c) in rows.iter().zip(&probas).zip(&classes) {
-            // Bit-identical probabilities: same traversals, same accumulation
-            // order, compared through the raw IEEE-754 representation.
-            prop_assert_eq!(forest.predict_proba(row).to_bits(), p.to_bits());
-            prop_assert_eq!(flat.predict_proba(row).to_bits(), p.to_bits());
-            prop_assert_eq!(forest.predict(row), *c);
-        }
-    }
-
-    #[test]
-    fn parallel_training_engine_is_bit_identical_to_sequential_fit(
-        (rows, labels) in labeled_points(6..50),
-        seed in 0u64..50,
-        n_trees in 1usize..12,
-        bootstrap_thirds in 1usize..4,
-    ) {
-        let data = Dataset::new(rows.clone(), labels.clone()).unwrap();
-        let config = RandomForestConfig {
-            n_trees,
-            max_depth: 6,
-            bootstrap_fraction: bootstrap_thirds as f64 / 3.0,
-            ..Default::default()
-        };
-        // Sequential reference: the boxed per-tree fit compiled to flat form.
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, seed).unwrap());
-        // Engine: presorted columns, scratch-backed growth, parallel trees.
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let engine = train_forest(&set, &config, seed).unwrap();
-        prop_assert_eq!(&engine, &reference);
-        for row in rows.iter().take(8) {
-            prop_assert_eq!(
-                engine.predict_proba(row).to_bits(),
-                reference.predict_proba(row).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn presorted_split_finder_matches_seed_split_finder(
-        (rows, labels) in labeled_points(8..60),
-        seed in 0u64..30,
-    ) {
-        // A single tree over all features isolates the split finder: every
-        // chosen (feature, threshold) pair of the presorted-column scan must
-        // equal the boxed finder's per-node sort-and-scan choice.
-        let data = Dataset::new(rows.clone(), labels.clone()).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 1,
-            max_depth: 5,
-            max_features: Some(3),
-            ..Default::default()
-        };
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, seed).unwrap());
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let engine = train_forest(&set, &config, seed).unwrap();
-        prop_assert_eq!(engine, reference);
     }
 
     #[test]
@@ -148,22 +76,6 @@ proptest! {
         let rebuilt = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
         // Exact equality including the merged presorted index arrays.
         prop_assert_eq!(grown, rebuilt);
-    }
-
-    #[test]
-    fn narrow_and_wide_sample_ids_fit_bit_identical_forests(
-        (rows, labels) in labeled_points(6..50),
-        seed in 0u64..30,
-        n_trees in 1usize..10,
-    ) {
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let config = RandomForestConfig { n_trees, max_depth: 6, ..Default::default() };
-        let narrow = train_forest_with_width(&set, &config, seed, IdWidth::Narrow).unwrap();
-        let wide = train_forest_with_width(&set, &config, seed, IdWidth::Wide).unwrap();
-        prop_assert_eq!(&narrow, &wide);
-        // Auto resolves to the narrow path below the 65536-sample boundary.
-        prop_assert_eq!(&train_forest(&set, &config, seed).unwrap(), &narrow);
     }
 
     #[test]
@@ -359,50 +271,6 @@ proptest! {
         prop_assert!(g >= min - 1e-9 && g <= max + 1e-9);
     }
 
-    #[test]
-    fn train_test_split_partitions_the_data(n in 10usize..200, fraction in 0.2f64..0.8, seed in 0u64..100) {
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 2 == 0).collect(),
-        ).unwrap();
-        let (train, test) = train_test_split(&data, fraction, seed).unwrap();
-        prop_assert_eq!(train.len() + test.len(), n);
-        // Every original sample appears exactly once across the two splits.
-        let mut seen: Vec<f64> = train.features().iter().chain(test.features()).map(|r| r[0]).collect();
-        seen.sort_by(f64::total_cmp);
-        for (i, v) in seen.iter().enumerate() {
-            prop_assert_eq!(*v, i as f64);
-        }
-    }
-
-    #[test]
-    fn stratified_split_keeps_both_classes(n in 20usize..200, seed in 0u64..100) {
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 4 == 0).collect(),
-        ).unwrap();
-        let (train, test) = stratified_split(&data, 0.5, seed).unwrap();
-        prop_assert!(train.num_positive() > 0 && train.num_negative() > 0);
-        prop_assert!(test.num_positive() > 0 && test.num_negative() > 0);
-    }
-
-    #[test]
-    fn leave_one_group_out_covers_every_sample_once(n_groups in 2usize..8, per_group in 1usize..6) {
-        let n = n_groups * per_group;
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 2 == 0).collect(),
-        ).unwrap();
-        let groups: Vec<usize> = (0..n).map(|i| i / per_group).collect();
-        let folds = leave_one_group_out(&data, &groups).unwrap();
-        prop_assert_eq!(folds.len(), n_groups);
-        let total_test: usize = folds.iter().map(|f| f.test.len()).sum();
-        prop_assert_eq!(total_test, n);
-        for fold in &folds {
-            prop_assert_eq!(fold.train.len() + fold.test.len(), n);
-        }
-    }
-
     /// The owned-block scratch load (k-way merge of the owned blocks'
     /// sorted runs, selection-local draws) must be bit-identical to the
     /// whole-pool reference load (full-pool scan, global draws — the old
@@ -452,58 +320,7 @@ proptest! {
     }
 }
 
-/// A large pseudo-random training set for the id-width boundary check.
-fn boundary_set(n: usize) -> TrainingSet {
-    let mut rows = Vec::with_capacity(n * 2);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        rows.push((h % 9973) as f64);
-        rows.push(((h >> 32) % 101) as f64);
-        labels.push(h % 89 < 44);
-    }
-    TrainingSet::from_rows(&rows, 2, &labels).unwrap()
-}
-
-/// The narrow (u16) and wide (u32) sample-id paths must agree exactly on
-/// both sides of the 65535/65536 boundary, where the auto selection flips
-/// from narrow to wide; one sample past the narrow address space the forced
-/// narrow path must refuse instead of truncating ids.
-#[test]
-fn u16_sample_ids_are_bit_identical_at_the_65536_boundary() {
-    let config = RandomForestConfig {
-        n_trees: 2,
-        max_depth: 4,
-        bootstrap_fraction: 0.02,
-        max_features: Some(2),
-        ..RandomForestConfig::default()
-    };
-    // n = 65535: auto selects narrow ids.
-    let below = boundary_set(65535);
-    let narrow = train_forest_with_width(&below, &config, 3, IdWidth::Narrow).unwrap();
-    let wide = train_forest_with_width(&below, &config, 3, IdWidth::Wide).unwrap();
-    assert_eq!(narrow, wide);
-    assert_eq!(train_forest(&below, &config, 3).unwrap(), narrow);
-    // n = 65536: auto switches to wide ids; narrow still addresses exactly
-    // 65536 samples (ids 0..=65535) and stays bit-identical.
-    let at = boundary_set(65536);
-    let wide = train_forest_with_width(&at, &config, 3, IdWidth::Wide).unwrap();
-    assert_eq!(train_forest(&at, &config, 3).unwrap(), wide);
-    assert_eq!(
-        train_forest_with_width(&at, &config, 3, IdWidth::Narrow).unwrap(),
-        wide
-    );
-    // n = 65537: the narrow address space is exhausted.
-    let past = boundary_set(65537);
-    assert!(train_forest_with_width(&past, &config, 3, IdWidth::Narrow).is_err());
-    assert_eq!(
-        train_forest(&past, &config, 3).unwrap(),
-        train_forest_with_width(&past, &config, 3, IdWidth::Wide).unwrap()
-    );
-}
-
-/// Pseudo-random rows/labels for the 65 536-crossing tests (same generator
-/// as [`boundary_set`], returned flat).
+/// Pseudo-random rows/labels for the 65 536-crossing tests.
 fn boundary_rows(n: usize) -> (Vec<f64>, Vec<bool>) {
     let mut rows = Vec::with_capacity(n * 2);
     let mut labels = Vec::with_capacity(n);
