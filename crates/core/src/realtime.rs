@@ -13,8 +13,7 @@ use seizure_data::signal::EegSignal;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_features::matrix::FeatureMatrix;
 use seizure_features::quality::{
-    self, QualityExtractor, QualityScratch, IDX_DISAGREEMENT, IDX_DRIFT_RATIO, IDX_FLAT_RUN_FRAC,
-    IDX_HUM_RATIO, IDX_LOG_STD, IDX_MAX_JUMP_SIGMA, IDX_RAILED_FRAC, NUM_QUALITY_FEATURES,
+    self, QualityExtractor, StreamingQuality, IDX_LOG_STD, NUM_QUALITY_FEATURES,
 };
 use seizure_features::streaming::StreamingRichExtractor;
 use seizure_ml::dataset::Dataset;
@@ -86,27 +85,6 @@ pub enum QualityVerdict {
     Reject,
 }
 
-/// Reject / hold / release thresholds of the quality gate's Schmitt
-/// trigger, per indicator. One set of constants (not per-detector state)
-/// so the persisted gate stays a fixed-size block.
-mod gate_thresholds {
-    /// Railed-sample fraction (clean windows sit at ~2/n ≈ 0.008).
-    pub const RAILED: (f64, f64) = (0.05, 0.02);
-    /// Longest flat-run fraction (dropouts hold one value for the window).
-    pub const FLAT: (f64, f64) = (0.25, 0.10);
-    /// Aliased mains-hum tone ratio.
-    pub const HUM: (f64, f64) = (0.22, 0.10);
-    /// Sub-1 Hz + DC share of window energy (baseline wander). Measured on
-    /// the synthetic cohort at 64 Hz: clean windows top out at ~0.89 while
-    /// wander pushes the median past 0.98, so the trigger sits between.
-    pub const DRIFT: (f64, f64) = (0.93, 0.87);
-    /// Largest sample step in robust sigmas (electrode pops). Clean windows
-    /// (seizures included) stay under ~20; pops land at 40–80.
-    pub const JUMP: (f64, f64) = (25.0, 12.0);
-    /// Cross-channel log-amplitude disagreement.
-    pub const DISAGREE: (f64, f64) = (2.6, 1.9);
-}
-
 /// Log-gain deviation (vs the calibrated reference) below which the slow
 /// gain correction stays exactly unity, so clean records run bit-identical
 /// to an ungated detector.
@@ -153,39 +131,6 @@ impl QualityGate {
         self.ref_weight = w + 1.0;
     }
 
-    /// Severity of one quality row against the constant thresholds:
-    /// 2 = beyond a reject threshold, 1 = beyond a hold/suspect threshold,
-    /// 0 = clean. Per-channel indicators trip on their worst channel.
-    fn raw_level(row: &[f64]) -> u8 {
-        let per_channel = [
-            (IDX_RAILED_FRAC, gate_thresholds::RAILED),
-            (IDX_FLAT_RUN_FRAC, gate_thresholds::FLAT),
-            (IDX_HUM_RATIO, gate_thresholds::HUM),
-            (IDX_DRIFT_RATIO, gate_thresholds::DRIFT),
-            (IDX_MAX_JUMP_SIGMA, gate_thresholds::JUMP),
-        ];
-        let mut level = 0u8;
-        for (idx, (reject, suspect)) in per_channel {
-            for channel in 0..2 {
-                let v = row[quality::channel_column(channel, idx)];
-                if v >= reject {
-                    return 2;
-                }
-                if v >= suspect {
-                    level = 1;
-                }
-            }
-        }
-        let disagree = row[IDX_DISAGREEMENT];
-        if disagree >= gate_thresholds::DISAGREE.0 {
-            return 2;
-        }
-        if disagree >= gate_thresholds::DISAGREE.1 {
-            level = 1;
-        }
-        level
-    }
-
     /// Turns the per-window quality rows into verdicts with hysteresis
     /// (Schmitt trigger over the window sequence):
     ///
@@ -200,14 +145,14 @@ impl QualityGate {
         out.reserve(quality.num_windows());
         let mut prev = QualityVerdict::Clean;
         for row in quality.rows() {
-            let verdict = Self::next_verdict(Self::raw_level(row), prev);
+            let verdict = Self::next_verdict(quality::raw_level(row), prev);
             out.push(verdict);
             prev = verdict;
         }
     }
 
     /// One step of the gate's Schmitt trigger: the verdict of a window with
-    /// severity `level` (see [`QualityGate::raw_level`]) given the previous
+    /// severity `level` (see [`quality::raw_level`]) given the previous
     /// window's verdict — shared by the record-level `verdicts_into` sweep
     /// and the sample-at-a-time [`StreamingDetector`].
     fn next_verdict(level: u8, prev: QualityVerdict) -> QualityVerdict {
@@ -996,6 +941,14 @@ impl RealTimeDetector {
     /// hop-structured extraction state across the 75 % window overlap
     /// instead of recomputing each window from scratch.
     ///
+    /// With the quality gate on, each window is graded by a
+    /// [`StreamingQuality`]: every one-second chunk of a hop is summarized
+    /// once as it lands and each window folds the summaries it covers (when
+    /// one-second chunks do not tile the hop, every window runs the window
+    /// kernel instead). The quality rows are bit-identical to the batch
+    /// gate's [`QualityExtractor::extract_batch_into`], so the streamed
+    /// verdicts equal [`QualityGate::verdicts_into`] over the same record.
+    ///
     /// The streaming path matches [`RealTimeDetector::detect`] window for
     /// window on a detector whose quality gate is uncalibrated, up to the
     /// bounded floating-point error of the streaming extractor (see
@@ -1014,18 +967,18 @@ impl RealTimeDetector {
         let forest = self.require_flat()?;
         let window = self.window_config(fs)?;
         let extractor = StreamingRichExtractor::new(&window)?;
-        let hop = window.step_samples();
         let num_features = extractor.num_features();
+        let quality = if self.config.quality_gate {
+            Some(StreamingQuality::new(&window)?)
+        } else {
+            None
+        };
         Ok(StreamingDetector {
-            detector: self,
             forest,
-            quality: QualityExtractor::new(fs)?,
-            quality_scratch: QualityScratch::for_window(window.window_samples()),
+            quality,
             quality_row: [0.0; NUM_QUALITY_FEATURES],
             extractor,
             row: vec![0.0; num_features],
-            hop_a: vec![0.0; hop],
-            hop_b: vec![0.0; hop],
             fill: 0,
             prev_verdict: QualityVerdict::Clean,
             window_index: 0,
@@ -1050,25 +1003,25 @@ pub struct StreamingDetection {
 /// Sample-at-a-time detection front end borrowed from a trained
 /// [`RealTimeDetector`] (see [`RealTimeDetector::streaming`]).
 ///
-/// Samples are buffered into hops; each hop advances the carried extraction
-/// state ([`StreamingRichExtractor`]), and once a full window of hops is in
-/// flight every further hop completes one window: quality verdict (with the
-/// same Schmitt-trigger hysteresis as the batch gate), forest classification
-/// of the raw feature row and alarm gating. After
-/// the warm-up allocations in [`RealTimeDetector::streaming`], pushing
+/// Each sample is written straight into the extractor's window buffer; each
+/// completed hop advances the carried extraction state
+/// ([`StreamingRichExtractor`]) and, with the gate on, the quality grader's
+/// ring of one-second chunk summaries ([`StreamingQuality`]). Once a full
+/// window of hops is in flight every further hop completes one window:
+/// quality verdict (with the same Schmitt-trigger hysteresis as the batch
+/// gate), forest classification of the raw feature row and alarm gating.
+/// After the warm-up allocations in [`RealTimeDetector::streaming`], pushing
 /// samples performs no heap allocation (`tests/device_no_alloc.rs` counts
 /// them over a whole gated record).
 #[derive(Debug)]
 pub struct StreamingDetector<'a> {
-    detector: &'a RealTimeDetector,
     forest: &'a FlatForest,
     extractor: StreamingRichExtractor,
-    quality: QualityExtractor,
-    quality_scratch: QualityScratch,
+    /// The quality grader; `None` when the gate is off.
+    quality: Option<StreamingQuality>,
     quality_row: [f64; NUM_QUALITY_FEATURES],
     row: Vec<f64>,
-    hop_a: Vec<f64>,
-    hop_b: Vec<f64>,
+    /// Samples of the current hop staged so far.
     fill: usize,
     prev_verdict: QualityVerdict,
     window_index: usize,
@@ -1090,12 +1043,16 @@ impl StreamingDetector<'_> {
         self.window_index
     }
 
-    /// Bytes of state carried across hops (the extractor's ring buffers and
-    /// carried operator state plus the hop staging buffers); the edge memory
-    /// model prices the extractor part as
-    /// `seizure_edge::memory::streaming_state_bytes`.
+    /// Bytes of state carried across hops: the extractor's window buffers
+    /// and carried operator state plus the quality grader's chunk-summary
+    /// ring. The edge memory model prices the same bytes as
+    /// `seizure_edge::memory::streaming_detector_state_bytes`.
     pub fn state_bytes(&self) -> usize {
-        self.extractor.state_bytes() + (self.hop_a.len() + self.hop_b.len()) * 8
+        self.extractor.state_bytes()
+            + self
+                .quality
+                .as_ref()
+                .map_or(0, StreamingQuality::state_bytes)
     }
 
     /// Forgets all carried signal state (keeping the borrowed model) so the
@@ -1103,6 +1060,9 @@ impl StreamingDetector<'_> {
     /// reset to `Clean` and window indices restart at zero.
     pub fn reset(&mut self) {
         self.extractor.reset();
+        if let Some(quality) = &mut self.quality {
+            quality.reset();
+        }
         self.fill = 0;
         self.prev_verdict = QualityVerdict::Clean;
         self.window_index = 0;
@@ -1118,37 +1078,37 @@ impl StreamingDetector<'_> {
     /// Propagates numeric extraction failures.
     // lint: hot-path
     pub fn push(&mut self, f7t3: f64, f8t4: f64) -> Result<Option<StreamingDetection>, CoreError> {
-        self.hop_a[self.fill] = f7t3;
-        self.hop_b[self.fill] = f8t4;
+        self.extractor.stage(self.fill, f7t3, f8t4);
         self.fill += 1;
-        if self.fill < self.hop_a.len() {
+        if self.fill < self.extractor.step_samples() {
             return Ok(None);
         }
         self.fill = 0;
-        let completed = self
-            .extractor
-            .push_hop(&self.hop_a, &self.hop_b, &mut self.row)?;
+        let completed = self.extractor.push_staged_hop(&mut self.row)?;
+        if let Some(quality) = &mut self.quality {
+            quality.push_hop(self.extractor.last_hop(0), self.extractor.last_hop(1))?;
+        }
         if !completed {
             return Ok(None);
         }
-        let verdict = if self.detector.config.quality_gate {
-            self.quality.assess_window_into(
-                self.extractor.current_window(0),
-                self.extractor.current_window(1),
-                &mut self.quality_row,
-                &mut self.quality_scratch,
-            )?;
-            let verdict = QualityGate::next_verdict(
-                QualityGate::raw_level(&self.quality_row),
-                self.prev_verdict,
-            );
-            self.prev_verdict = verdict;
-            verdict
-        } else {
-            QualityVerdict::Clean
+        let verdict = match &mut self.quality {
+            Some(quality) => {
+                quality.assess_window_into(
+                    self.extractor.current_window(0),
+                    self.extractor.current_window(1),
+                    &mut self.quality_row,
+                )?;
+                let verdict = QualityGate::next_verdict(
+                    quality::raw_level(&self.quality_row),
+                    self.prev_verdict,
+                );
+                self.prev_verdict = verdict;
+                verdict
+            }
+            None => QualityVerdict::Clean,
         };
         let mut alarm = self.forest.predict(&self.row);
-        if self.detector.config.quality_gate && verdict == QualityVerdict::Reject {
+        if verdict == QualityVerdict::Reject {
             alarm = false;
         }
         let detection = StreamingDetection {

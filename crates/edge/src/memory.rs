@@ -65,6 +65,18 @@ const HOP_SUMMARY_F64: usize = 24;
 /// `streaming::HOP_SUMMARY_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
 const HOP_SUMMARY_U32: usize = 1 + 6 + 120;
 
+/// `f64` slots one chunk summary of the streaming quality grader carries
+/// (extrema, edge samples, sum, second moment, step sum and maximum, and one
+/// complex DFT partial for each of the 15 probes). Mirrors
+/// `seizure-features`' `quality::CHUNK_SUMMARY_F64_SLOTS`; pinned by
+/// `tests/edge_platform.rs`.
+const CHUNK_SUMMARY_F64: usize = 8 + 2 * 15;
+
+/// `u32` slots per chunk summary (samples on each extremum, the non-finite
+/// count and three flat-run lengths). Mirrors
+/// `quality::CHUNK_SUMMARY_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
+const CHUNK_SUMMARY_U32: usize = 6;
+
 /// The rich feature set decomposes with db4 to at most this many levels.
 const STREAM_WAVELET_MAX_LEVELS: usize = 5;
 
@@ -340,12 +352,48 @@ impl MemoryModel {
         self.spec.num_channels * (f64_slots * std::mem::size_of::<f64>() + u32_slots * 4)
     }
 
+    /// Bytes of the quality grader's chunk-summary ring (`seizure-features`'
+    /// `StreamingQuality`): per channel, one summary
+    /// (`CHUNK_SUMMARY_F64` `f64` + `CHUNK_SUMMARY_U32` `u32` slots) for each
+    /// one-second chunk of `chunk_samples` samples a window holds. Returns 0
+    /// when chunks do not tile the step, where the grader keeps no ring and
+    /// runs the window kernel on every window.
+    pub fn quality_ring_bytes(
+        &self,
+        window_samples: usize,
+        step_samples: usize,
+        chunk_samples: usize,
+    ) -> usize {
+        if chunk_samples == 0 || !step_samples.is_multiple_of(chunk_samples) {
+            return 0;
+        }
+        let summary = CHUNK_SUMMARY_F64 * std::mem::size_of::<f64>() + CHUNK_SUMMARY_U32 * 4;
+        self.spec.num_channels * (window_samples / chunk_samples) * summary
+    }
+
+    /// Bytes of state a gated sample-at-a-time detector (`seizure-core`'s
+    /// `StreamingDetector`) carries across hops: the extractor's
+    /// [`MemoryModel::streaming_state_bytes`] (exact spectral mode) plus the
+    /// quality grader's [`MemoryModel::quality_ring_bytes`]. Samples are
+    /// written straight into the extractor's window buffers, so there is no
+    /// staging term. Mirrors `StreamingDetector::state_bytes()` byte for
+    /// byte (`tests/edge_platform.rs`).
+    pub fn streaming_detector_state_bytes(
+        &self,
+        window_samples: usize,
+        step_samples: usize,
+        chunk_samples: usize,
+    ) -> usize {
+        self.streaming_state_bytes(window_samples, step_samples, false)
+            + self.quality_ring_bytes(window_samples, step_samples, chunk_samples)
+    }
+
     /// [`MemoryModel::budget_with_quality_gate`] for a detector running the
     /// sample-at-a-time streaming front end: the RAM side additionally holds
-    /// [`MemoryModel::streaming_state_bytes`] of carried extraction state
-    /// plus one hop of staging samples per channel. On the paper platform
+    /// the [`MemoryModel::streaming_detector_state_bytes`] it carries across
+    /// hops (`chunk_samples` is one second of samples). On the paper platform
     /// (STM32L151, 48 KB RAM) the full-precision 4 s / 75 % state at 256 Hz
-    /// is ~41 KB — streamable on its own, but `fits_ram` turns `false` once
+    /// is ~44 KB — streamable on its own, but `fits_ram` turns `false` once
     /// the hour-long quality ribbon shares the RAM, documenting that a
     /// deployment would down-convert the carried state to `f32`.
     ///
@@ -359,11 +407,11 @@ impl MemoryModel {
         snapshot_bytes: usize,
         window_samples: usize,
         step_samples: usize,
+        chunk_samples: usize,
     ) -> Result<MemoryBudget, EdgeError> {
         let mut budget = self.budget_with_quality_gate(buffer_secs, snapshot_bytes)?;
-        let staging = self.spec.num_channels * step_samples * std::mem::size_of::<f64>();
         budget.working_bytes +=
-            self.streaming_state_bytes(window_samples, step_samples, false) + staging;
+            self.streaming_detector_state_bytes(window_samples, step_samples, chunk_samples);
         budget.fits_ram = budget.working_bytes <= self.spec.ram_bytes;
         Ok(budget)
     }
@@ -570,23 +618,41 @@ mod tests {
     }
 
     #[test]
+    fn quality_ring_prices_one_summary_per_chunk_and_channel() {
+        let model = model();
+        let summary = CHUNK_SUMMARY_F64 * 8 + CHUNK_SUMMARY_U32 * 4;
+        assert_eq!(summary, 328);
+        // Paper geometry: four one-second chunks per 4 s window.
+        assert_eq!(model.quality_ring_bytes(1024, 256, 256), 2 * 4 * summary);
+        // A 128-sample hop is half a chunk: no ring, the window kernel runs.
+        assert_eq!(model.quality_ring_bytes(512, 128, 256), 0);
+        assert_eq!(model.quality_ring_bytes(1024, 256, 0), 0);
+        assert_eq!(
+            model.streaming_detector_state_bytes(1024, 256, 256),
+            model.streaming_state_bytes(1024, 256, false) + 2 * 4 * summary
+        );
+    }
+
+    #[test]
     fn streaming_budget_extends_ram_and_documents_the_full_hour_boundary() {
         let model = model();
         let gated = model.budget_with_quality_gate(1200.0, 64 * 1024).unwrap();
         let streaming = model
-            .budget_with_streaming(1200.0, 64 * 1024, 1024, 256)
+            .budget_with_streaming(1200.0, 64 * 1024, 1024, 256, 256)
             .unwrap();
         assert_eq!(streaming.history_bytes, gated.history_bytes);
         assert_eq!(
             streaming.working_bytes,
-            gated.working_bytes + model.streaming_state_bytes(1024, 256, false) + 2 * 256 * 8
+            gated.working_bytes + model.streaming_detector_state_bytes(1024, 256, 256)
         );
         // The carried state alone fits the 48 KB RAM…
-        assert!(model.streaming_state_bytes(1024, 256, false) <= 48 * 1024);
+        assert!(model.streaming_detector_state_bytes(1024, 256, 256) <= 48 * 1024);
         // …but a full-precision f64 deployment next to the hour-long quality
         // ribbon does not: a real deployment stores the carried state as f32.
-        let hour = model.budget_with_streaming(3600.0, 0, 1024, 256).unwrap();
+        let hour = model
+            .budget_with_streaming(3600.0, 0, 1024, 256, 256)
+            .unwrap();
         assert!(!hour.fits_ram, "{} bytes", hour.working_bytes);
-        assert!(model.budget_with_streaming(0.0, 1, 1024, 256).is_err());
+        assert!(model.budget_with_streaming(0.0, 1, 1024, 256, 256).is_err());
     }
 }

@@ -70,6 +70,6 @@ pub mod waveform;
 pub use error::FeatureError;
 pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
 pub use matrix::FeatureMatrix;
-pub use quality::{QualityExtractor, QualityScratch};
+pub use quality::{QualityExtractor, QualityScratch, StreamingQuality};
 pub use scratch::{FeatureScratch, FeatureScratchPool};
 pub use streaming::{SpectralMode, StreamingRichExtractor};

@@ -463,19 +463,54 @@ impl StreamingRichExtractor {
         if f7t3.len() != self.hop {
             return Err(hop_size_mismatch(f7t3.len(), self.hop));
         }
-        let slot = self.hops_seen % self.k;
+        self.open_hop();
+        let at = self.hop_start();
         for (chan, hop_samples) in self.channels.iter_mut().zip([f7t3, f8t4]) {
-            // Linearize the window: shift once the buffer is full, append
-            // in place while it is still filling.
-            if self.hops_seen < self.k {
-                let at = self.hops_seen * self.hop;
-                chan.window_buf[at..at + self.hop].copy_from_slice(hop_samples);
-            } else {
-                chan.window_buf.copy_within(self.hop.., 0);
-                let at = self.window - self.hop;
-                chan.window_buf[at..].copy_from_slice(hop_samples);
-            }
-            let summary = HopSummary::from_hop(hop_samples);
+            chan.window_buf[at..at + self.hop].copy_from_slice(hop_samples);
+        }
+        self.push_staged_hop(row)
+    }
+
+    /// Writes sample `index` (`0..hop`) of the next hop of both channels
+    /// straight into its slot of the window buffers, so a sample-at-a-time
+    /// caller needs no staging copy of its own. Stage the samples in order:
+    /// sample 0 first shifts a full window left by one hop, and until then
+    /// [`current_window`] still shows the last completed window. Once all
+    /// `hop` samples are written,
+    /// [`push_staged_hop`] ingests them exactly as [`push_hop`] would.
+    ///
+    /// [`current_window`]: StreamingRichExtractor::current_window
+    /// [`push_staged_hop`]: StreamingRichExtractor::push_staged_hop
+    /// [`push_hop`]: StreamingRichExtractor::push_hop
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= hop`.
+    // lint: hot-path
+    pub fn stage(&mut self, index: usize, f7t3: f64, f8t4: f64) {
+        assert!(index < self.hop, "sample {index} is outside the hop");
+        if index == 0 {
+            self.open_hop();
+        }
+        let at = self.hop_start() + index;
+        self.channels[0].window_buf[at] = f7t3;
+        self.channels[1].window_buf[at] = f8t4;
+    }
+
+    /// Ingests the hop written through [`StreamingRichExtractor::stage`]
+    /// (every one of its `hop` samples must have been staged). Same return
+    /// value and errors as [`StreamingRichExtractor::push_hop`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::DimensionMismatch`] if `row` does not have 54
+    /// slots at window completion, and propagates numeric failures.
+    // lint: hot-path
+    pub fn push_staged_hop(&mut self, row: &mut [f64]) -> Result<bool, FeatureError> {
+        let slot = self.hops_seen % self.k;
+        let at = self.hop_start();
+        for chan in &mut self.channels {
+            let summary = HopSummary::from_hop(&chan.window_buf[at..at + self.hop]);
             if self.hops_seen > 0 {
                 // The previous hop can now count its straddling patterns.
                 let prev_slot = (self.hops_seen - 1) % self.k;
@@ -487,7 +522,7 @@ impl StreamingRichExtractor {
                 chan.ring[slot] = summary;
             }
             if let Some(hop_psd) = &mut chan.hop_psd {
-                hop_psd.push_hop(hop_samples, self.fs)?;
+                hop_psd.push_hop(&chan.window_buf[at..at + self.hop], self.fs)?;
             }
         }
         self.hops_seen += 1;
@@ -516,6 +551,35 @@ impl StreamingRichExtractor {
             )?;
         }
         Ok(true)
+    }
+
+    /// The samples of the most recently ingested hop for `channel` (0 =
+    /// F7T3, 1 = F8T4); valid after a [`StreamingRichExtractor::push_hop`]
+    /// or [`StreamingRichExtractor::push_staged_hop`] call, until the next
+    /// hop is staged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel > 1` or no hop has been ingested.
+    pub fn last_hop(&self, channel: usize) -> &[f64] {
+        let at = (self.hops_seen - 1).min(self.k - 1) * self.hop;
+        &self.channels[channel].window_buf[at..at + self.hop]
+    }
+
+    /// Start of the slot the next hop fills: the hop's place while the
+    /// first window is filling, the window tail afterwards.
+    fn hop_start(&self) -> usize {
+        self.hops_seen.min(self.k - 1) * self.hop
+    }
+
+    /// Makes room for the next hop: once a full window is buffered, shifts
+    /// it left by one hop.
+    fn open_hop(&mut self) {
+        if self.hops_seen >= self.k {
+            for chan in &mut self.channels {
+                chan.window_buf.copy_within(self.hop.., 0);
+            }
+        }
     }
 
     /// Extracts the full feature matrix of a record through the streaming
@@ -882,6 +946,44 @@ mod tests {
             }
         }
         assert_eq!(produced, expected.num_windows());
+    }
+
+    #[test]
+    fn staged_samples_match_push_hop() {
+        let config = SlidingWindowConfig::paper_default(256.0).unwrap();
+        let a = synth(1024 + 3 * 256, 61);
+        let b = synth(1024 + 3 * 256, 62);
+        let mut sliced = StreamingRichExtractor::new(&config).unwrap();
+        let mut staged = StreamingRichExtractor::new(&config).unwrap();
+        let mut row_sliced = vec![0.0; 54];
+        let mut row_staged = vec![0.0; 54];
+        for h in 0..a.len() / 256 {
+            let s = h * 256;
+            let want = sliced
+                .push_hop(&a[s..s + 256], &b[s..s + 256], &mut row_sliced)
+                .unwrap();
+            for i in 0..256 {
+                staged.stage(i, a[s + i], b[s + i]);
+            }
+            let got = staged.push_staged_hop(&mut row_staged).unwrap();
+            assert_eq!(got, want, "hop {h}");
+            assert_eq!(row_staged, row_sliced, "hop {h}");
+            for channel in 0..2 {
+                assert_eq!(
+                    staged.current_window(channel),
+                    sliced.current_window(channel)
+                );
+                let hop = [&a, &b][channel];
+                assert_eq!(staged.last_hop(channel), &hop[s..s + 256], "hop {h}");
+            }
+        }
+        // Staging the next hop's first sample shifts the window.
+        staged.stage(0, 7.0, 7.0);
+        assert_eq!(
+            staged.current_window(0)[..768],
+            sliced.current_window(0)[256..]
+        );
+        assert_eq!(staged.current_window(0)[768], 7.0);
     }
 
     #[test]

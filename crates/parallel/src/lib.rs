@@ -13,19 +13,25 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads to fan out across: the machine's available
 /// parallelism, overridable (and capped to 1) with the
-/// `SEIZURE_NUM_THREADS` environment variable.
+/// `SEIZURE_NUM_THREADS` environment variable. Both are read once, on the
+/// first call, so batch calls neither allocate nor query the OS; set the
+/// variable before the first parallel call.
 pub fn num_threads() -> usize {
-    if let Ok(value) = std::env::var("SEIZURE_NUM_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            return n.max(1);
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(value) = std::env::var("SEIZURE_NUM_THREADS") {
+            if let Ok(n) = value.trim().parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Minimum number of rows per worker below which threading overhead is not

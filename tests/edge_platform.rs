@@ -344,16 +344,30 @@ fn dual_slot_store_formula_matches_the_real_layout() {
     );
 }
 
-/// The edge memory model's streaming-state formula must agree byte for byte
-/// with the streaming extractor's own accounting, for both spectral modes
-/// and across window geometries — so the RAM a wearable reserves for the
-/// hop-structured extraction covers exactly the state the extractor carries.
+/// The edge memory model's streaming-state formulas must agree byte for
+/// byte with the real accounting, for both spectral modes and across window
+/// geometries: the extractor's `state_bytes()`, and the gated
+/// `StreamingDetector::state_bytes()` the device reserves (extractor plus the
+/// quality grader's chunk-summary ring, which exists only when one-second
+/// chunks tile the hop) — so the RAM a wearable reserves covers exactly the
+/// state the device path carries.
 #[test]
 fn streaming_state_formula_matches_the_real_extractor() {
+    use selflearn_seizure::core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
     use selflearn_seizure::features::extractor::SlidingWindowConfig;
+    use selflearn_seizure::features::quality::QualityExtractor;
     use selflearn_seizure::features::streaming::{SpectralMode, StreamingRichExtractor};
+    use selflearn_seizure::ml::dataset::Dataset;
+
+    // A trained detector (any forest will do) to open the device path on.
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| (0..54).map(|c| ((i * 7 + c) % 13) as f64).collect())
+        .collect();
+    let labels: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+    let training = Dataset::new(rows, labels).unwrap();
 
     let memory = MemoryModel::new(PlatformSpec::stm32l151_default());
+    let mut folding = 0;
     for (fs, window_secs, overlap) in [
         (256.0, 4.0, 0.75),
         (256.0, 2.0, 0.75),
@@ -375,21 +389,38 @@ fn streaming_state_formula_matches_the_real_extractor() {
             welch.state_bytes(),
             "hop-welch mode, fs {fs}, {window_secs} s window, {overlap} overlap"
         );
-    }
 
-    // The budget the wearable actually plans around: carried state plus one
-    // hop of staging per channel on the RAM side, gate accounting unchanged.
-    let config = SlidingWindowConfig::new(256.0, 4.0, 0.75).unwrap();
+        let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+            window_secs,
+            overlap,
+            ..RealTimeDetectorConfig::default()
+        });
+        detector.train(&training).unwrap();
+        let device = detector.streaming(fs).unwrap();
+        let chunk = QualityExtractor::new(fs).unwrap().chunk_samples();
+        assert_eq!(
+            memory.streaming_detector_state_bytes(window, step, chunk),
+            device.state_bytes(),
+            "gated detector, fs {fs}, {window_secs} s window, {overlap} overlap"
+        );
+        folding += usize::from(memory.quality_ring_bytes(window, step, chunk) > 0);
+    }
+    // Three geometries fold one-second chunks; 2 s / 75 % at 256 Hz has a
+    // half-second hop and grades each window with the window kernel.
+    assert_eq!(folding, 3);
+
+    // The budget the wearable actually plans around: the detector's carried
+    // state on the RAM side, gate accounting unchanged.
+    let mut detector = RealTimeDetector::new(RealTimeDetectorConfig::default());
+    detector.train(&training).unwrap();
     let snapshot = memory.trainer_snapshot_bytes(256, 54, 30, 30 * 128);
     let gated = memory.budget_with_quality_gate(1200.0, snapshot).unwrap();
     let streaming = memory
-        .budget_with_streaming(1200.0, snapshot, 1024, 256)
+        .budget_with_streaming(1200.0, snapshot, 1024, 256, 256)
         .unwrap();
     assert_eq!(streaming.history_bytes, gated.history_bytes);
     assert_eq!(
         streaming.working_bytes,
-        gated.working_bytes
-            + StreamingRichExtractor::new(&config).unwrap().state_bytes()
-            + 2 * 256 * 8
+        gated.working_bytes + detector.streaming(256.0).unwrap().state_bytes()
     );
 }

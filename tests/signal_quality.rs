@@ -5,11 +5,16 @@
 use proptest::prelude::*;
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
-use selflearn_seizure::core::realtime::{QualityGate, QualityVerdict, RealTimeDetectorConfig};
+use selflearn_seizure::core::realtime::{
+    QualityGate, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig,
+};
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
-use selflearn_seizure::features::quality::QualityExtractor;
+use selflearn_seizure::data::signal::EegSignal;
+use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
+use selflearn_seizure::features::quality::{QualityExtractor, StreamingQuality};
 use selflearn_seizure::features::{FeatureMatrix, SlidingWindowConfig};
+use selflearn_seizure::ml::dataset::Dataset;
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use selflearn_seizure::ml::persist::store::{FaultyFlash, FlashGeometry, FlashStore};
 
@@ -143,5 +148,85 @@ fn gate_state_survives_save_crash_resume() {
             "cut {cut}: recovered gate is neither the pre-save nor the \
              committed calibration"
         );
+    }
+}
+
+/// The device's gate is the batch gate: streaming a record sample by sample
+/// through a gated `StreamingDetector::push` yields, window for window, the
+/// verdicts `QualityGate::verdicts_into` assigns to the record's
+/// `extract_batch_into` quality matrix — on clean records, under every
+/// hostile scenario and under the wander+hum overlay. Covers the paper
+/// geometry at 256 Hz, where one-second chunk summaries are folded across
+/// windows, and a half-second hop, where every window runs the window
+/// kernel.
+#[test]
+fn streamed_verdicts_equal_the_batch_gate() {
+    let fs = 256.0;
+    let cohort = Cohort::chb_mit_like(23);
+    let sample = SampleConfig::new(150.0, 200.0, fs).unwrap();
+    let mut records: Vec<(String, EegSignal)> = Vec::new();
+    for (i, patient) in [4usize, 8].into_iter().enumerate() {
+        let record = cohort
+            .sample_record(patient, 0, &sample, 40 + i as u64)
+            .unwrap();
+        records.push((format!("clean patient {patient}"), record.signal().clone()));
+    }
+    let base = records[0].1.clone();
+    for (i, scenario) in HostileScenario::all().into_iter().enumerate() {
+        let degraded = degrade_signal(&base, scenario, 1.0, 70 + i as u64).unwrap();
+        records.push((scenario.name().to_string(), degraded));
+    }
+    let wander = degrade_signal(&base, HostileScenario::BaselineWander, 1.0, 80).unwrap();
+    let overlay = degrade_signal(&wander, HostileScenario::MainsHum, 1.0, 81).unwrap();
+    records.push(("baseline_wander+mains_hum".to_string(), overlay));
+
+    // Any trained forest opens the device path; verdicts do not read it.
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| (0..54).map(|c| ((i * 7 + c) % 13) as f64).collect())
+        .collect();
+    let labels: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+    let training = Dataset::new(rows, labels).unwrap();
+
+    for (window_secs, overlap, folds) in [(4.0, 0.75, true), (2.0, 0.75, false)] {
+        let geometry = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+        assert_eq!(StreamingQuality::new(&geometry).unwrap().folds(), folds);
+        let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+            window_secs,
+            overlap,
+            forest: RandomForestConfig {
+                n_trees: 4,
+                max_depth: 4,
+                ..RandomForestConfig::default()
+            },
+            ..RealTimeDetectorConfig::default()
+        });
+        detector.train(&training).unwrap();
+        let mut device = detector.streaming(fs).unwrap();
+        let batch = QualityExtractor::new(fs).unwrap();
+        let mut quality = FeatureMatrix::default();
+        let mut expected = Vec::new();
+        let mut rejected = 0;
+        for (name, signal) in &records {
+            batch
+                .extract_batch_into(signal.f7t3(), signal.f8t4(), &geometry, &mut quality)
+                .unwrap();
+            QualityGate::verdicts_into(&quality, &mut expected);
+            device.reset();
+            let mut streamed = Vec::new();
+            for (&a, &b) in signal.f7t3().iter().zip(signal.f8t4()) {
+                if let Some(detection) = device.push(a, b).unwrap() {
+                    streamed.push(detection.verdict);
+                }
+            }
+            assert_eq!(
+                streamed, expected,
+                "{name}: {window_secs} s windows, {overlap} overlap"
+            );
+            rejected += expected
+                .iter()
+                .filter(|v| **v == QualityVerdict::Reject)
+                .count();
+        }
+        assert!(rejected > 0, "the hostile records must exercise Reject");
     }
 }
