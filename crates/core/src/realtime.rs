@@ -1466,6 +1466,19 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_an_unrepresentable_window_is_refused_at_use() {
+        // `load_state` restores the geometry as saved; the window config
+        // built from it must refuse a window no record can hold instead of
+        // reading zero windows from every record.
+        let detector = RealTimeDetector::new(RealTimeDetectorConfig {
+            window_secs: f64::INFINITY,
+            ..fast_config()
+        });
+        let restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();
+        assert!(restored.window_config(256.0).is_err());
+    }
+
+    #[test]
     fn untrained_detector_state_round_trips() {
         let detector = RealTimeDetector::new(fast_config());
         let restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();

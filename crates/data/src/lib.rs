@@ -45,7 +45,6 @@
 pub mod annotation;
 pub mod cohort;
 pub mod error;
-pub mod io;
 pub mod patient;
 pub mod sampler;
 pub mod signal;

@@ -171,42 +171,6 @@ pub fn real_fft(signal: &[f64]) -> Result<Vec<Complex>, DspError> {
     fft(&buf)
 }
 
-/// Returns the single-sided magnitude spectrum of a real signal.
-///
-/// The result has `n/2 + 1` entries covering DC up to the Nyquist frequency.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `signal` is empty.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::real_fft_magnitude;
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let fs = 64.0;
-/// let signal: Vec<f64> = (0..64)
-///     .map(|n| (2.0 * std::f64::consts::PI * 8.0 * n as f64 / fs).cos())
-///     .collect();
-/// let mag = real_fft_magnitude(&signal)?;
-/// // The peak lies at bin 8 (8 Hz with a 1 Hz resolution).
-/// let peak = mag
-///     .iter()
-///     .enumerate()
-///     .max_by(|a, b| a.1.total_cmp(b.1))
-///     .map(|(i, _)| i)
-///     .unwrap();
-/// assert_eq!(peak, 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn real_fft_magnitude(signal: &[f64]) -> Result<Vec<f64>, DspError> {
-    let spectrum = real_fft(signal)?;
-    let half = signal.len() / 2 + 1;
-    Ok(spectrum[..half].iter().map(Complex::magnitude).collect())
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Direction {
     Forward,
@@ -438,23 +402,6 @@ impl FftPlan {
     /// Returns [`DspError::InvalidLength`] if `signal` or `out` does not match
     /// the planned length.
     pub fn forward_real_into(&self, signal: &[f64], out: &mut [Complex]) -> Result<(), DspError> {
-        self.forward_real_windowed_into(signal, None, out)
-    }
-
-    /// Computes the forward FFT of `signal` tapered element-wise by `window`
-    /// into `out`, fusing the windowing into the bit-reversal load so no
-    /// intermediate windowed copy is needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `signal`, `window` (when given)
-    /// or `out` does not match the planned length.
-    pub fn forward_real_windowed_into(
-        &self,
-        signal: &[f64],
-        window: Option<&[f64]>,
-        out: &mut [Complex],
-    ) -> Result<(), DspError> {
         if signal.len() != self.n {
             return Err(DspError::InvalidLength {
                 operation: "FftPlan::forward_real_into",
@@ -469,29 +416,10 @@ impl FftPlan {
                 requirement: "output length must match the planned length",
             });
         }
-        if let Some(w) = window {
-            if w.len() != self.n {
-                return Err(DspError::InvalidLength {
-                    operation: "FftPlan::forward_real_into",
-                    actual: w.len(),
-                    requirement: "window length must match the planned length",
-                });
-            }
-        }
         match &self.kind {
             PlanKind::Radix2 { rev, twiddles } => {
-                match window {
-                    Some(w) => {
-                        for (slot, &src) in out.iter_mut().zip(rev.iter()) {
-                            let i = src as usize;
-                            *slot = Complex::from(signal[i] * w[i]);
-                        }
-                    }
-                    None => {
-                        for (slot, &src) in out.iter_mut().zip(rev.iter()) {
-                            *slot = Complex::from(signal[src as usize]);
-                        }
-                    }
+                for (slot, &src) in out.iter_mut().zip(rev.iter()) {
+                    *slot = Complex::from(signal[src as usize]);
                 }
                 butterfly_passes(out, twiddles);
             }
@@ -500,12 +428,8 @@ impl FftPlan {
                 for (k, slot) in out.iter_mut().enumerate() {
                     let mut acc = Complex::zero();
                     let mut idx = 0;
-                    for (t, &x) in signal.iter().enumerate() {
-                        let tapered = match window {
-                            Some(w) => x * w[t],
-                            None => x,
-                        };
-                        acc = acc + roots[idx].scale(tapered);
+                    for &x in signal {
+                        acc = acc + roots[idx].scale(x);
                         idx += k;
                         if idx >= n {
                             idx -= n;
@@ -539,7 +463,7 @@ impl FftPlan {
 /// let plan = RealFftPlan::new(signal.len())?;
 /// let mut power = vec![0.0; plan.num_bins()];
 /// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
-/// plan.magnitudes_squared_into(&signal, None, &mut power, &mut scratch)?;
+/// plan.magnitudes_squared_into(&signal, &mut power, &mut scratch)?;
 ///
 /// let reference = real_fft(&signal)?;
 /// for (p, bin) in power.iter().zip(reference.iter()) {
@@ -621,17 +545,16 @@ impl RealFftPlan {
         }
     }
 
-    /// Computes `|X[k]|²` of the (optionally tapered) real signal for
-    /// `k = 0..=n/2` into `out`, without allocating.
+    /// Computes `|X[k]|²` of the real signal for `k = 0..=n/2` into `out`,
+    /// without allocating.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] if `signal`, `window` (when
-    /// given), `out` or `scratch` has the wrong length.
+    /// Returns [`DspError::InvalidLength`] if `signal`, `out` or `scratch`
+    /// has the wrong length.
     pub fn magnitudes_squared_into(
         &self,
         signal: &[f64],
-        window: Option<&[f64]>,
         out: &mut [f64],
         scratch: &mut [Complex],
     ) -> Result<(), DspError> {
@@ -641,15 +564,6 @@ impl RealFftPlan {
                 actual: signal.len(),
                 requirement: "signal length must match the planned length",
             });
-        }
-        if let Some(w) = window {
-            if w.len() != self.n {
-                return Err(DspError::InvalidLength {
-                    operation: "RealFftPlan::magnitudes_squared_into",
-                    actual: w.len(),
-                    requirement: "window length must match the planned length",
-                });
-            }
         }
         if out.len() != self.num_bins() {
             return Err(DspError::InvalidLength {
@@ -667,7 +581,7 @@ impl RealFftPlan {
         }
         match &self.kind {
             RealPlanKind::Fallback(plan) => {
-                plan.forward_real_windowed_into(signal, window, &mut scratch[..self.n])?;
+                plan.forward_real_into(signal, &mut scratch[..self.n])?;
                 for (slot, bin) in out.iter_mut().zip(scratch.iter()) {
                     *slot = bin.magnitude_squared();
                 }
@@ -680,22 +594,9 @@ impl RealFftPlan {
             } => {
                 let m = self.n / 2;
                 let z = &mut scratch[..m];
-                // Load sample pairs straight into bit-reversed order, fusing
-                // the taper into the load.
-                match window {
-                    Some(w) => {
-                        for (j, &dst) in rev.iter().enumerate() {
-                            z[dst as usize] = Complex::new(
-                                signal[2 * j] * w[2 * j],
-                                signal[2 * j + 1] * w[2 * j + 1],
-                            );
-                        }
-                    }
-                    None => {
-                        for (j, &dst) in rev.iter().enumerate() {
-                            z[dst as usize] = Complex::new(signal[2 * j], signal[2 * j + 1]);
-                        }
-                    }
+                // Load sample pairs straight into bit-reversed order.
+                for (j, &dst) in rev.iter().enumerate() {
+                    z[dst as usize] = Complex::new(signal[2 * j], signal[2 * j + 1]);
                 }
                 butterfly_passes(z, twiddles);
 
@@ -882,13 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn real_fft_magnitude_length() {
-        let signal = vec![0.0; 100];
-        let mag = real_fft_magnitude(&signal).unwrap();
-        assert_eq!(mag.len(), 51);
-    }
-
-    #[test]
     fn complex_arithmetic() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(-3.0, 0.5);
@@ -928,29 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_windowed_load_matches_pre_windowed_signal() {
-        let signal: Vec<f64> = (0..128).map(|i| (i as f64 * 0.21).sin()).collect();
-        let taper: Vec<f64> = (0..128)
-            .map(|i| 0.5 + 0.4 * (i as f64 * 0.05).cos())
-            .collect();
-        let plan = FftPlan::new(signal.len()).unwrap();
-        let mut fused = vec![Complex::zero(); signal.len()];
-        plan.forward_real_windowed_into(&signal, Some(&taper), &mut fused)
-            .unwrap();
-        let pre: Vec<f64> = signal
-            .iter()
-            .zip(taper.iter())
-            .map(|(s, w)| s * w)
-            .collect();
-        let mut separate = vec![Complex::zero(); signal.len()];
-        plan.forward_real_into(&pre, &mut separate).unwrap();
-        for (a, b) in fused.iter().zip(separate.iter()) {
-            assert!(close(a.re, b.re, 1e-12));
-            assert!(close(a.im, b.im, 1e-12));
-        }
-    }
-
-    #[test]
     fn plan_rejects_mismatched_buffers() {
         assert!(FftPlan::new(0).is_err());
         let plan = FftPlan::new(16).unwrap();
@@ -961,10 +832,6 @@ mod tests {
         assert!(plan.forward_real_into(&signal, &mut short_out).is_err());
         let mut out = vec![Complex::zero(); 16];
         assert!(plan.forward_real_into(&signal[..8], &mut out).is_err());
-        let bad_window = vec![1.0; 4];
-        assert!(plan
-            .forward_real_windowed_into(&signal, Some(&bad_window), &mut out)
-            .is_err());
     }
 
     #[test]

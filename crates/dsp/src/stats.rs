@@ -1,8 +1,6 @@
-//! Descriptive statistics and normalization helpers.
+//! Descriptive statistics.
 //!
-//! These routines back both the feature-extraction stage (paper §III-A) and the
-//! feature normalization in Line 1 of Algorithm 1 (subtract the per-feature mean
-//! and divide by the per-feature standard deviation).
+//! These routines back the feature-extraction stage (paper §III-A).
 
 use crate::error::DspError;
 
@@ -45,29 +43,6 @@ pub fn variance(data: &[f64]) -> Result<f64, DspError> {
 /// Returns [`DspError::EmptyInput`] if `data` is empty.
 pub fn std_dev(data: &[f64]) -> Result<f64, DspError> {
     Ok(variance(data)?.sqrt())
-}
-
-/// Sample variance of `data` (normalized by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `data` is empty and
-/// [`DspError::InvalidLength`] if it has fewer than two samples.
-pub fn sample_variance(data: &[f64]) -> Result<f64, DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput {
-            operation: "sample_variance",
-        });
-    }
-    if data.len() < 2 {
-        return Err(DspError::InvalidLength {
-            operation: "sample_variance",
-            actual: data.len(),
-            requirement: "at least 2 samples",
-        });
-    }
-    let m = mean(data)?;
-    Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64)
 }
 
 /// Minimum and maximum of `data` as a `(min, max)` pair.
@@ -185,55 +160,6 @@ pub fn rms(data: &[f64]) -> Result<f64, DspError> {
     Ok((data.iter().map(|x| x * x).sum::<f64>() / data.len() as f64).sqrt())
 }
 
-/// Z-scores `data` in place: subtracts the mean and divides by the standard
-/// deviation. If the standard deviation is zero (constant signal), the data is
-/// only mean-centred, matching the behaviour needed by Algorithm 1's feature
-/// normalization where a constant feature must not produce NaNs.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `data` is empty.
-pub fn zscore_in_place(data: &mut [f64]) -> Result<(), DspError> {
-    let m = mean(data)?;
-    let sd = std_dev(data)?;
-    if sd == 0.0 {
-        for x in data.iter_mut() {
-            *x -= m;
-        }
-    } else {
-        for x in data.iter_mut() {
-            *x = (*x - m) / sd;
-        }
-    }
-    Ok(())
-}
-
-/// Returns a z-scored copy of `data`; see [`zscore_in_place`].
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `data` is empty.
-pub fn zscore(data: &[f64]) -> Result<Vec<f64>, DspError> {
-    let mut out = data.to_vec();
-    zscore_in_place(&mut out)?;
-    Ok(out)
-}
-
-/// Scales `data` into `[0, 1]` by min–max normalization. A constant signal maps
-/// to all zeros.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `data` is empty.
-pub fn min_max_scale(data: &[f64]) -> Result<Vec<f64>, DspError> {
-    let (lo, hi) = min_max(data)?;
-    let range = hi - lo;
-    if range == 0.0 {
-        return Ok(vec![0.0; data.len()]);
-    }
-    Ok(data.iter().map(|x| (x - lo) / range).collect())
-}
-
 /// Geometric mean of strictly positive values, the "only correct average of
 /// normalized values" the paper cites (Fleming & Wallace, 1986). Values are
 /// clamped to a tiny positive floor so that a single zero does not collapse the
@@ -286,13 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let data = [1.0, 2.0, 3.0];
-        assert!((sample_variance(&data).unwrap() - 1.0).abs() < 1e-12);
-        assert!(sample_variance(&[1.0]).is_err());
-    }
-
-    #[test]
     fn empty_inputs_are_rejected() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[]).is_err());
@@ -300,8 +219,6 @@ mod tests {
         assert!(rms(&[]).is_err());
         assert!(min_max(&[]).is_err());
         assert!(geometric_mean(&[]).is_err());
-        assert!(zscore(&[]).is_err());
-        assert!(min_max_scale(&[]).is_err());
     }
 
     #[test]
@@ -331,29 +248,6 @@ mod tests {
         assert_eq!(percentile(&data, 0.0).unwrap(), 1.0);
         assert!(percentile(&data, 100.0).unwrap().is_nan());
         assert!(median(&[f64::NAN]).unwrap().is_nan());
-    }
-
-    #[test]
-    fn zscore_has_zero_mean_unit_std() {
-        let data: Vec<f64> = (0..100)
-            .map(|i| (i as f64 * 0.37).sin() * 5.0 + 3.0)
-            .collect();
-        let z = zscore(&data).unwrap();
-        assert!(mean(&z).unwrap().abs() < 1e-10);
-        assert!((std_dev(&z).unwrap() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn zscore_constant_signal_does_not_nan() {
-        let z = zscore(&[5.0; 10]).unwrap();
-        assert!(z.iter().all(|x| x.abs() < 1e-15));
-    }
-
-    #[test]
-    fn min_max_scale_range() {
-        let s = min_max_scale(&[2.0, 6.0, 4.0]).unwrap();
-        assert_eq!(s, vec![0.0, 1.0, 0.5]);
-        assert_eq!(min_max_scale(&[3.0; 4]).unwrap(), vec![0.0; 4]);
     }
 
     #[test]

@@ -308,20 +308,14 @@ impl MemoryModel {
     /// (`seizure-features`' `StreamingRichExtractor`) carries across hops
     /// for this platform's channel count: per channel, the linearized
     /// window ring buffer, `window / step` hop summaries
-    /// (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32` slots each),
+    /// (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32` slots each) and
     /// the carried db4 coefficients (approximations on every level, details
-    /// from level `STREAM_MIN_DETAIL_LEVEL` up) and, when `hop_welch` is
-    /// set, the ring of hop periodograms. The formula mirrors the extractor's
-    /// own `state_bytes()` byte for byte (`tests/edge_platform.rs` pins the
-    /// two against each other); transient FFT scratch is excluded on both
-    /// sides. Returns 0 for geometries the streaming extractor rejects
+    /// from level `STREAM_MIN_DETAIL_LEVEL` up). The formula mirrors the
+    /// extractor's own `state_bytes()` byte for byte (`tests/edge_platform.rs`
+    /// pins the two against each other); transient FFT scratch is excluded on
+    /// both sides. Returns 0 for geometries the streaming extractor rejects
     /// (window not a multiple of the step).
-    pub fn streaming_state_bytes(
-        &self,
-        window_samples: usize,
-        step_samples: usize,
-        hop_welch: bool,
-    ) -> usize {
+    pub fn streaming_state_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
         if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
             return 0;
         }
@@ -342,12 +336,7 @@ impl MemoryModel {
                 wavelet_slots += window_samples >> level;
             }
         }
-        let hop_psd_slots = if hop_welch {
-            k * (step_samples / 2 + 1)
-        } else {
-            0
-        };
-        let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots + hop_psd_slots;
+        let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots;
         let u32_slots = k * HOP_SUMMARY_U32;
         self.spec.num_channels * (f64_slots * std::mem::size_of::<f64>() + u32_slots * 4)
     }
@@ -373,7 +362,7 @@ impl MemoryModel {
 
     /// Bytes of state a gated sample-at-a-time detector (`seizure-core`'s
     /// `StreamingDetector`) carries across hops: the extractor's
-    /// [`MemoryModel::streaming_state_bytes`] (exact spectral mode) plus the
+    /// [`MemoryModel::streaming_state_bytes`] plus the
     /// quality grader's [`MemoryModel::quality_ring_bytes`]. Samples are
     /// written straight into the extractor's window buffers, so there is no
     /// staging term. Mirrors `StreamingDetector::state_bytes()` byte for
@@ -384,7 +373,7 @@ impl MemoryModel {
         step_samples: usize,
         chunk_samples: usize,
     ) -> usize {
-        self.streaming_state_bytes(window_samples, step_samples, false)
+        self.streaming_state_bytes(window_samples, step_samples)
             + self.quality_ring_bytes(window_samples, step_samples, chunk_samples)
     }
 
@@ -603,18 +592,10 @@ mod tests {
         let wavelet_slots = (512 + 256 + 128 + 64 + 32) + (128 + 64 + 32);
         let per_channel =
             (1024 + 4 * HOP_SUMMARY_F64 + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32 * 4;
-        assert_eq!(
-            model.streaming_state_bytes(1024, 256, false),
-            2 * per_channel
-        );
-        // Welch-reuse mode adds four hop periodograms of 129 bins each.
-        assert_eq!(
-            model.streaming_state_bytes(1024, 256, true),
-            2 * (per_channel + 4 * 129 * 8)
-        );
+        assert_eq!(model.streaming_state_bytes(1024, 256), 2 * per_channel);
         // Unstreamable geometries price to zero.
-        assert_eq!(model.streaming_state_bytes(1024, 0, false), 0);
-        assert_eq!(model.streaming_state_bytes(1024, 300, false), 0);
+        assert_eq!(model.streaming_state_bytes(1024, 0), 0);
+        assert_eq!(model.streaming_state_bytes(1024, 300), 0);
     }
 
     #[test]
@@ -629,7 +610,7 @@ mod tests {
         assert_eq!(model.quality_ring_bytes(1024, 256, 0), 0);
         assert_eq!(
             model.streaming_detector_state_bytes(1024, 256, 256),
-            model.streaming_state_bytes(1024, 256, false) + 2 * 4 * summary
+            model.streaming_state_bytes(1024, 256) + 2 * 4 * summary
         );
     }
 

@@ -50,18 +50,19 @@ impl SlidingWindowConfig {
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] if the sampling frequency or the
-    /// window length is not positive, or the overlap lies outside `[0, 1)`.
+    /// window length is not positive and finite, the window does not fit in a
+    /// `usize` sample count, or the overlap lies outside `[0, 1)`.
     pub fn new(fs: f64, window_secs: f64, overlap: f64) -> Result<Self, FeatureError> {
-        if fs <= 0.0 || fs.is_nan() {
+        if !(fs > 0.0 && fs.is_finite()) {
             return Err(FeatureError::InvalidConfig {
                 name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
+                reason: format!("sampling frequency must be positive and finite, got {fs}"),
             });
         }
-        if window_secs <= 0.0 || window_secs.is_nan() {
+        if !(window_secs > 0.0 && window_secs.is_finite()) {
             return Err(FeatureError::InvalidConfig {
                 name: "window_secs",
-                reason: format!("window length must be positive, got {window_secs}"),
+                reason: format!("window length must be positive and finite, got {window_secs}"),
             });
         }
         if !(0.0..1.0).contains(&overlap) {
@@ -70,7 +71,18 @@ impl SlidingWindowConfig {
                 reason: format!("overlap must lie in [0, 1), got {overlap}"),
             });
         }
-        let window_samples = (window_secs * fs).round() as usize;
+        let exact_window = (window_secs * fs).round();
+        // `usize::MAX as f64` rounds up to 2^64, so `<` admits exactly the
+        // counts a `usize` holds; the `as` cast would saturate the rest.
+        if exact_window >= usize::MAX as f64 {
+            return Err(FeatureError::InvalidConfig {
+                name: "window_secs",
+                reason: format!(
+                    "a {window_secs} s window at {fs} Hz has more samples than a usize can count"
+                ),
+            });
+        }
+        let window_samples = exact_window as usize;
         if window_samples == 0 {
             return Err(FeatureError::InvalidConfig {
                 name: "window_secs",
@@ -110,7 +122,8 @@ impl SlidingWindowConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive.
+    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive and
+    /// finite.
     pub fn paper_default(fs: f64) -> Result<Self, FeatureError> {
         Self::new(fs, 4.0, 0.75)
     }
@@ -158,15 +171,6 @@ impl SlidingWindowConfig {
     /// Time in seconds at which window `index` starts.
     pub fn window_start_seconds(&self, index: usize) -> f64 {
         self.window_start_sample(index) as f64 / self.fs
-    }
-
-    /// Index of the first window that contains the given sample, clamped into
-    /// the valid range for a signal with `num_windows` windows.
-    pub fn sample_to_window_index(&self, sample: usize, num_windows: usize) -> usize {
-        if num_windows == 0 {
-            return 0;
-        }
-        (sample / self.step_samples).min(num_windows - 1)
     }
 
     /// Iterator over the window slices of `signal`.
@@ -941,6 +945,24 @@ mod tests {
         assert!(SlidingWindowConfig::new(256.0, 4.0, -0.1).is_err());
     }
 
+    /// Regression: an infinite or astronomically long window used to saturate
+    /// to `usize::MAX` samples and be accepted, so every record silently
+    /// yielded zero windows.
+    #[test]
+    fn config_rejects_non_finite_or_overflowing_geometry() {
+        for (fs, window_secs) in [(256.0, f64::INFINITY), (f64::INFINITY, 4.0), (256.0, 1e300)] {
+            assert!(
+                matches!(
+                    SlidingWindowConfig::new(fs, window_secs, 0.75),
+                    Err(FeatureError::InvalidConfig { .. })
+                ),
+                "fs {fs}, window {window_secs} s"
+            );
+        }
+        // Long but representable windows are unaffected.
+        assert!(SlidingWindowConfig::new(256.0, 3600.0, 0.75).is_ok());
+    }
+
     #[test]
     fn fractional_overlap_steps_round_to_nearest() {
         // Regression: 4 s at 256 Hz with 60 % overlap gives an exact step of
@@ -972,9 +994,6 @@ mod tests {
         let cfg = SlidingWindowConfig::paper_default(256.0).unwrap();
         assert_eq!(cfg.window_start_sample(10), 2560);
         assert!((cfg.window_start_seconds(10) - 10.0).abs() < 1e-12);
-        assert_eq!(cfg.sample_to_window_index(2560, 57), 10);
-        assert_eq!(cfg.sample_to_window_index(100_000, 57), 56);
-        assert_eq!(cfg.sample_to_window_index(100, 0), 0);
     }
 
     #[test]

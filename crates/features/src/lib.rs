@@ -72,4 +72,4 @@ pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWi
 pub use matrix::FeatureMatrix;
 pub use quality::{QualityExtractor, QualityScratch, StreamingQuality};
 pub use scratch::{FeatureScratch, FeatureScratchPool};
-pub use streaming::{SpectralMode, StreamingRichExtractor};
+pub use streaming::StreamingRichExtractor;

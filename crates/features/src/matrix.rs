@@ -234,32 +234,6 @@ impl FeatureMatrix {
         Ok(out)
     }
 
-    /// Returns a new matrix containing only the rows in `range`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if the range exceeds the
-    /// number of windows.
-    pub fn select_rows(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        if range.end > self.rows || range.start > range.end {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "row range {:?} out of bounds for a matrix with {} windows",
-                    range, self.rows
-                ),
-            });
-        }
-        let mut out = FeatureMatrix::with_names(self.names.clone());
-        for r in range {
-            out.push_row(self.row(r).to_vec())
-                .expect("row length matches");
-        }
-        Ok(out)
-    }
-
     /// Appends all rows of `other` to this matrix.
     ///
     /// # Errors
@@ -336,15 +310,6 @@ mod tests {
         assert_eq!(p.feature_names(), &["f3".to_string(), "f1".to_string()]);
         assert_eq!(p.row(1), &[6.0, 4.0]);
         assert!(m.select_columns(&[5]).is_err());
-    }
-
-    #[test]
-    fn select_rows_subsets() {
-        let m = sample();
-        let s = m.select_rows(1..3).unwrap();
-        assert_eq!(s.num_windows(), 2);
-        assert_eq!(s.row(0), &[4.0, 5.0, 6.0]);
-        assert!(m.select_rows(2..5).is_err());
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::error::FeatureError;
 use seizure_dsp::fft::Complex;
 use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{Wavelet, WaveletWorkspace};
-use seizure_dsp::window::WindowKind;
 
 /// Preallocated workspace for extracting the features of one analysis window.
 ///
@@ -82,7 +81,7 @@ impl FeatureScratch {
         }
         let wavelet = Wavelet::Daubechies4;
         let levels = max_wavelet_levels.min(wavelet.max_level(window_len)).max(1);
-        let psd = PsdPlan::new(window_len, WindowKind::Rectangular)?;
+        let psd = PsdPlan::new(window_len)?;
         let workspace = WaveletWorkspace::new(wavelet, window_len, levels)?;
         Ok(Self {
             fs,

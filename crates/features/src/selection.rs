@@ -4,7 +4,7 @@
 //! elimination (Devijver & Kittler, 1982) and keeps the ten most relevant ones.
 //! This module implements the generic backward-elimination wrapper together
 //! with a simple class-separability criterion that does not require training a
-//! classifier, plus per-feature Fisher scores used for reporting.
+//! classifier.
 
 use crate::error::FeatureError;
 use crate::matrix::FeatureMatrix;
@@ -69,19 +69,6 @@ pub fn fisher_score_column(column: &[f64], labels: &[bool]) -> f64 {
     num / denom
 }
 
-/// Per-feature Fisher scores for every column of `matrix`.
-///
-/// # Errors
-///
-/// Returns [`FeatureError::DimensionMismatch`] if `labels` does not have one
-/// entry per window.
-pub fn fisher_scores(matrix: &FeatureMatrix, labels: &[bool]) -> Result<Vec<f64>, FeatureError> {
-    validate_labels(matrix, labels)?;
-    Ok((0..matrix.num_features())
-        .map(|c| fisher_score_column(&matrix.column(c), labels))
-        .collect())
-}
-
 /// Result of a backward-elimination run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EliminationResult {
@@ -91,13 +78,6 @@ pub struct EliminationResult {
     /// corresponds to a subset of `num_features - i` features (entry 0 is the
     /// full set).
     pub scores: Vec<f64>,
-}
-
-impl EliminationResult {
-    /// The `k` most relevant feature indices.
-    pub fn top_k(&self, k: usize) -> &[usize] {
-        &self.ranking[..k.min(self.ranking.len())]
-    }
 }
 
 /// Ranks all features by relevance with backward elimination.
@@ -175,24 +155,6 @@ pub fn backward_elimination<S: SubsetScorer>(
     })
 }
 
-/// Convenience wrapper: runs [`backward_elimination`] with the
-/// [`CentroidSeparation`] criterion and returns the projection of `matrix`
-/// onto its `k` most relevant features.
-///
-/// # Errors
-///
-/// Propagates the errors of [`backward_elimination`] and of
-/// [`FeatureMatrix::select_columns`].
-pub fn select_top_k(
-    matrix: &FeatureMatrix,
-    labels: &[bool],
-    k: usize,
-) -> Result<(FeatureMatrix, EliminationResult), FeatureError> {
-    let result = backward_elimination(matrix, labels, &CentroidSeparation)?;
-    let projected = matrix.select_columns(result.top_k(k))?;
-    Ok((projected, result))
-}
-
 /// Maps a criterion score into the total order the elimination loop ranks
 /// by: a NaN score (e.g. a corrupted feature column propagating NaN through
 /// the criterion) counts as the worst possible subset, so the offending
@@ -246,7 +208,9 @@ mod tests {
     #[test]
     fn fisher_score_orders_by_separability() {
         let (m, labels) = labeled_matrix();
-        let scores = fisher_scores(&m, &labels).unwrap();
+        let scores: Vec<f64> = (0..m.num_features())
+            .map(|c| fisher_score_column(&m.column(c), &labels))
+            .collect();
         assert!(scores[0] > scores[1]);
         assert!(scores[1] > scores[2]);
     }
@@ -272,15 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_projection() {
-        let (m, labels) = labeled_matrix();
-        let (projected, result) = select_top_k(&m, &labels, 2).unwrap();
-        assert_eq!(projected.num_features(), 2);
-        assert_eq!(projected.feature_names()[0], "strong");
-        assert_eq!(result.top_k(10).len(), 3);
-    }
-
-    #[test]
     fn nan_feature_column_is_ranked_last_without_panicking() {
         // A corrupted (NaN) column makes every subset containing it score
         // NaN; the ranking must shed it first instead of letting NaN
@@ -300,7 +255,6 @@ mod tests {
     #[test]
     fn label_length_mismatch_rejected() {
         let (m, _) = labeled_matrix();
-        assert!(fisher_scores(&m, &[true, false]).is_err());
         assert!(backward_elimination(&m, &[true], &CentroidSeparation).is_err());
     }
 

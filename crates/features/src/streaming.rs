@@ -21,13 +21,9 @@
 //!   across windows and recomputes only the newly exposed ones plus the
 //!   periodic-boundary tail; detail bands (and hence the Shannon wavelet
 //!   entropies) are **bit-exact**.
-//! * **Spectrum** — two modes. [`SpectralMode::Exact`] (default) runs the
-//!   same full-window rectangular periodogram as the batch extractor, so
-//!   all eleven band-power features stay **bit-exact**.
-//!   [`SpectralMode::HopWelch`] periodograms each hop once and Bartlett-
-//!   averages the `k` covering segments ([`HopPeriodogram`]) — cheaper, but
-//!   a different estimator (hop-resolution bins), so band features carry
-//!   estimator error while total power is preserved to rounding.
+//! * **Spectrum** — each completed window runs the same full-window
+//!   rectangular periodogram ([`PsdPlan`]) as the batch extractor, so all
+//!   eleven band-power features stay **bit-exact**.
 //!
 //! # Equivalence / error model
 //!
@@ -35,7 +31,7 @@
 //!
 //! | columns | features | streaming vs batch |
 //! |---|---|---|
-//! | 0–10 | band powers, total power | bit-exact (`Exact`), estimator error (`HopWelch`) |
+//! | 0–10 | band powers, total power | bit-exact (same periodogram) |
 //! | 11–15 | mean/variance/skew/kurtosis/rms | bounded error (merged vs two-pass moments, ≲1e-9 relative) |
 //! | 16–17 | Hjorth mobility/complexity | bounded error (same reason) |
 //! | 18–19 | line length, nonlinear energy | bounded error (re-associated sums) |
@@ -66,24 +62,8 @@ use crate::extractor::{
 use crate::matrix::FeatureMatrix;
 use crate::statistics::{MomentSummary, SpreadSummary};
 use seizure_dsp::fft::Complex;
-use seizure_dsp::spectrum::{HopPeriodogram, PsdPlan};
+use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{StreamingWavelet, Wavelet};
-use seizure_dsp::window::WindowKind;
-
-/// How the streaming extractor estimates the spectral band powers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralMode {
-    /// One full-window rectangular periodogram per window — identical input
-    /// and arithmetic to the batch extractor, so band powers are bit-exact.
-    #[default]
-    Exact,
-    /// One rectangular periodogram **per hop**, Bartlett-averaged over the
-    /// `k` hops each window covers (Welch-style segment reuse). Roughly `k`×
-    /// less FFT work per window, but a coarser estimator: bins sit at
-    /// `fs / hop` resolution, so narrow-band powers differ from the batch
-    /// values while total power agrees to rounding.
-    HopWelch,
-}
 
 /// Number of `f64` fields a `HopSummary` carries (priced by
 /// `edge::memory::streaming_state_bytes`).
@@ -203,8 +183,7 @@ impl HopSummary {
 }
 
 /// Per-channel streaming state: the linearized current window, the ring of
-/// hop summaries, the carried wavelet coefficients and (in
-/// [`SpectralMode::HopWelch`]) the ring of hop periodograms.
+/// hop summaries and the carried wavelet coefficients.
 #[derive(Debug, Clone)]
 struct ChannelStream {
     /// The last `window` samples, linearized (shifted left one hop at a
@@ -214,8 +193,6 @@ struct ChannelStream {
     ring: Vec<HopSummary>,
     /// Carried wavelet coefficients.
     wavelet: StreamingWavelet,
-    /// Carried hop periodograms (`HopWelch` mode only).
-    hop_psd: Option<HopPeriodogram>,
 }
 
 /// Stateful streaming twin of [`RichFeatureSet`]: feeds on one hop of both
@@ -260,25 +237,21 @@ pub struct StreamingRichExtractor {
     hop: usize,
     /// Hops per window.
     k: usize,
-    mode: SpectralMode,
     /// Batch-identical feature definition, used for names.
     reference: RichFeatureSet,
-    /// Full-window periodogram plan ([`SpectralMode::Exact`]).
+    /// Full-window periodogram plan.
     psd: PsdPlan,
     /// Window-resolution PSD bins (transient scratch, not carried state).
     power: Vec<f64>,
     /// FFT scratch (transient, not carried state).
     spectrum: Vec<Complex>,
-    /// Hop-resolution PSD bins (transient scratch, `HopWelch` mode).
-    hop_power: Vec<f64>,
     channels: [ChannelStream; 2],
     /// Hops ingested since construction or [`StreamingRichExtractor::reset`].
     hops_seen: usize,
 }
 
 impl StreamingRichExtractor {
-    /// Builds a streaming extractor for the window geometry of `config`,
-    /// using the default [`SpectralMode::Exact`].
+    /// Builds a streaming extractor for the window geometry of `config`.
     ///
     /// # Errors
     ///
@@ -290,18 +263,6 @@ impl StreamingRichExtractor {
     /// coefficients per level (propagated as [`FeatureError::Dsp`]). The
     /// paper's 4 s / 75 % geometry at 256 Hz satisfies all of these.
     pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
-        Self::with_mode(config, SpectralMode::Exact)
-    }
-
-    /// Builds a streaming extractor with an explicit [`SpectralMode`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StreamingRichExtractor::new`].
-    pub fn with_mode(
-        config: &SlidingWindowConfig,
-        mode: SpectralMode,
-    ) -> Result<Self, FeatureError> {
         let fs = config.sampling_frequency();
         let window = config.window_samples();
         let hop = config.step_samples();
@@ -327,16 +288,12 @@ impl StreamingRichExtractor {
         let wavelet = Wavelet::Daubechies4;
         let levels = RICH_WAVELET_LEVELS.min(wavelet.max_level(window)).max(1);
         let min_detail = 3.min(levels);
-        let psd = PsdPlan::new(window, WindowKind::Rectangular)?;
+        let psd = PsdPlan::new(window)?;
         let make_channel = || -> Result<ChannelStream, FeatureError> {
             Ok(ChannelStream {
                 window_buf: vec![0.0; window],
                 ring: Vec::with_capacity(k),
                 wavelet: StreamingWavelet::new(wavelet, window, hop, levels, min_detail)?,
-                hop_psd: match mode {
-                    SpectralMode::Exact => None,
-                    SpectralMode::HopWelch => Some(HopPeriodogram::new(hop, k)?),
-                },
             })
         };
         // The ordinal-pattern transition tables are process-wide and built on
@@ -347,11 +304,9 @@ impl StreamingRichExtractor {
             window,
             hop,
             k,
-            mode,
             reference: RichFeatureSet::new(fs)?,
             power: vec![0.0; psd.num_bins()],
             spectrum: vec![Complex::zero(); psd.scratch_len()],
-            hop_power: vec![0.0; hop / 2 + 1],
             psd,
             channels: [make_channel()?, make_channel()?],
             hops_seen: 0,
@@ -371,16 +326,6 @@ impl StreamingRichExtractor {
     /// Hop length in samples.
     pub fn step_samples(&self) -> usize {
         self.hop
-    }
-
-    /// Hops per window (`window / hop`).
-    pub fn hops_per_window(&self) -> usize {
-        self.k
-    }
-
-    /// The spectral estimation mode.
-    pub fn spectral_mode(&self) -> SpectralMode {
-        self.mode
     }
 
     /// Number of features per emitted row (54: 27 per channel).
@@ -405,19 +350,14 @@ impl StreamingRichExtractor {
 
     /// Bytes of state carried across hops, counted semantically (`f64`
     /// slots × 8 plus `u32` slots × 4, both channels): the linearized window
-    /// ring buffers, the hop-summary rings, the carried wavelet coefficients
-    /// and (in `HopWelch` mode) the hop periodogram rings. Transient FFT
+    /// ring buffers, the hop-summary rings and the carried wavelet
+    /// coefficients. Transient FFT
     /// scratch is excluded — it exists in the batch path too. The edge
     /// memory model (`edge::memory::streaming_state_bytes`) mirrors this
     /// number byte for byte.
     pub fn state_bytes(&self) -> usize {
-        let per_channel_f64 = self.window
-            + self.k * HOP_SUMMARY_F64_SLOTS
-            + self.channels[0].wavelet.state_len()
-            + self.channels[0]
-                .hop_psd
-                .as_ref()
-                .map_or(0, HopPeriodogram::state_len);
+        let per_channel_f64 =
+            self.window + self.k * HOP_SUMMARY_F64_SLOTS + self.channels[0].wavelet.state_len();
         let per_channel_u32 = self.k * HOP_SUMMARY_U32_SLOTS;
         2 * (per_channel_f64 * 8 + per_channel_u32 * 4)
     }
@@ -428,9 +368,6 @@ impl StreamingRichExtractor {
         for chan in &mut self.channels {
             chan.ring.clear();
             chan.wavelet.reset();
-            if let Some(hop_psd) = &mut chan.hop_psd {
-                hop_psd.reset();
-            }
         }
     }
 
@@ -521,9 +458,6 @@ impl StreamingRichExtractor {
             } else {
                 chan.ring[slot] = summary;
             }
-            if let Some(hop_psd) = &mut chan.hop_psd {
-                hop_psd.push_hop(&chan.window_buf[at..at + self.hop], self.fs)?;
-            }
         }
         self.hops_seen += 1;
         if self.hops_seen < self.k {
@@ -540,11 +474,8 @@ impl StreamingRichExtractor {
                 &self.psd,
                 &mut self.power,
                 &mut self.spectrum,
-                &mut self.hop_power,
-                self.mode,
                 self.fs,
                 self.window,
-                self.hop,
                 self.k,
                 base,
                 out,
@@ -684,31 +615,16 @@ fn finalize_channel(
     psd: &PsdPlan,
     power: &mut [f64],
     spectrum: &mut [Complex],
-    hop_power: &mut [f64],
-    mode: SpectralMode,
     fs: f64,
     window: usize,
-    hop: usize,
     k: usize,
     base: usize,
     out: &mut [f64],
 ) -> Result<(), FeatureError> {
     debug_assert_eq!(out.len(), RICH_FEATURES_PER_CHANNEL);
-    // Spectral block: bit-exact full-window periodogram, or the reused
-    // hop-segment average.
-    let bands = match mode {
-        SpectralMode::Exact => {
-            psd.power_into(&chan.window_buf, fs, power, spectrum)?;
-            band_powers_from_bins(power, fs, window)?
-        }
-        SpectralMode::HopWelch => {
-            chan.hop_psd
-                .as_mut()
-                .expect("HopWelch mode always builds the hop periodogram")
-                .average_into(hop_power)?;
-            band_powers_from_bins(hop_power, fs, hop)?
-        }
-    };
+    // Spectral block: the batch extractor's full-window periodogram.
+    psd.power_into(&chan.window_buf, fs, power, spectrum)?;
+    let bands = band_powers_from_bins(power, fs, window)?;
     out[..5].copy_from_slice(&bands.absolute);
     out[5..10].copy_from_slice(&bands.relative);
     out[10] = bands.total;
@@ -868,7 +784,7 @@ mod tests {
             .unwrap()
             .extract_batch(&a, &b, &config)
             .unwrap();
-        // Bands (Exact mode), zero crossings, peak-to-peak, permutation and
+        // Bands, zero crossings, peak-to-peak, permutation and
         // wavelet entropies must match bit for bit, both channels.
         let exact: Vec<usize> = (0..11)
             .chain(20..=26)
@@ -881,40 +797,6 @@ mod tests {
                     batch.get(w, c),
                     "window {w} column {c} must be bit-exact"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn hop_welch_mode_preserves_total_power() {
-        let fs = 256.0;
-        let config = SlidingWindowConfig::paper_default(fs).unwrap();
-        let a = synth(1024 + 4 * 256, 3);
-        let b = synth(1024 + 4 * 256, 4);
-        let mut streaming =
-            StreamingRichExtractor::with_mode(&config, SpectralMode::HopWelch).unwrap();
-        assert_eq!(streaming.spectral_mode(), SpectralMode::HopWelch);
-        let matrix = streaming.extract_batch(&a, &b).unwrap();
-        let batch = RichFeatureSet::new(fs)
-            .unwrap()
-            .extract_batch(&a, &b, &config)
-            .unwrap();
-        assert_eq!(matrix.num_windows(), batch.num_windows());
-        for w in 0..matrix.num_windows() {
-            for ch in [0, RICH_FEATURES_PER_CHANNEL] {
-                // Total power (column 10) is preserved to rounding; the
-                // non-spectral columns keep the usual bound.
-                let s = matrix.get(w, ch + 10);
-                let r = batch.get(w, ch + 10);
-                assert!((s - r).abs() <= 1e-9 * (1.0 + r.abs()), "window {w}");
-                for c in 11..RICH_FEATURES_PER_CHANNEL {
-                    let s = matrix.get(w, ch + c);
-                    let r = batch.get(w, ch + c);
-                    assert!(
-                        (s - r).abs() <= 1e-7 * (1.0 + r.abs()),
-                        "window {w} col {c}"
-                    );
-                }
             }
         }
     }
@@ -1047,11 +929,5 @@ mod tests {
         let per_channel =
             (1024 + 4 * HOP_SUMMARY_F64_SLOTS + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32_SLOTS * 4;
         assert_eq!(streaming.state_bytes(), 2 * per_channel);
-
-        let welch = StreamingRichExtractor::with_mode(&config, SpectralMode::HopWelch).unwrap();
-        assert_eq!(
-            welch.state_bytes(),
-            2 * (per_channel + 4 * (256 / 2 + 1) * 8)
-        );
     }
 }

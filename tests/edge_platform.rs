@@ -356,7 +356,7 @@ fn streaming_state_formula_matches_the_real_extractor() {
     use selflearn_seizure::core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
     use selflearn_seizure::features::extractor::SlidingWindowConfig;
     use selflearn_seizure::features::quality::QualityExtractor;
-    use selflearn_seizure::features::streaming::{SpectralMode, StreamingRichExtractor};
+    use selflearn_seizure::features::streaming::StreamingRichExtractor;
     use selflearn_seizure::ml::dataset::Dataset;
 
     // A trained detector (any forest will do) to open the device path on.
@@ -377,17 +377,11 @@ fn streaming_state_formula_matches_the_real_extractor() {
         let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
         let window = config.window_samples();
         let step = config.step_samples();
-        let exact = StreamingRichExtractor::new(&config).unwrap();
+        let extractor = StreamingRichExtractor::new(&config).unwrap();
         assert_eq!(
-            memory.streaming_state_bytes(window, step, false),
-            exact.state_bytes(),
-            "exact mode, fs {fs}, {window_secs} s window, {overlap} overlap"
-        );
-        let welch = StreamingRichExtractor::with_mode(&config, SpectralMode::HopWelch).unwrap();
-        assert_eq!(
-            memory.streaming_state_bytes(window, step, true),
-            welch.state_bytes(),
-            "hop-welch mode, fs {fs}, {window_secs} s window, {overlap} overlap"
+            memory.streaming_state_bytes(window, step),
+            extractor.state_bytes(),
+            "extractor, fs {fs}, {window_secs} s window, {overlap} overlap"
         );
 
         let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
