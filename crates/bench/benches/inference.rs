@@ -4,7 +4,8 @@
 //! sliding-window rich-feature extraction followed by random-forest
 //! classification — in two configurations:
 //!
-//! * **batch**: `extract_batch` (flat matrix, per-thread scratch, parallel
+//! * **batch**: `RichFeatureSet::extract_batch_into` into a fresh matrix
+//!   through a fresh scratch pool (flat matrix, per-thread scratch, parallel
 //!   windows) + `FlatForest::predict_proba_batch` over the flat buffer;
 //! * **streaming**: `StreamingRichExtractor::extract_batch_into` — the
 //!   hop-structured path that carries moments, ordinal pattern tables and
@@ -23,9 +24,9 @@
 use std::time::Instant;
 
 use seizure_bench::synth::synth_channels;
-use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
+use seizure_features::extractor::{RichFeatureSet, SlidingWindowConfig};
 use seizure_features::streaming::StreamingRichExtractor;
-use seizure_features::FeatureMatrix;
+use seizure_features::{FeatureMatrix, FeatureScratchPool};
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::training::{train_forest, TrainingSet};
 
@@ -41,6 +42,21 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, result)
 }
 
+/// The batch engine's matrix of a record, built the way a one-off caller
+/// builds it: a fresh matrix and a fresh scratch pool per record.
+fn batch_matrix(
+    extractor: &RichFeatureSet,
+    a: &[f64],
+    b: &[f64],
+    cfg: &SlidingWindowConfig,
+) -> FeatureMatrix {
+    let mut matrix = FeatureMatrix::default();
+    extractor
+        .extract_batch_into(a, b, cfg, &FeatureScratchPool::new(), &mut matrix)
+        .expect("batch features");
+    matrix
+}
+
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let fs = 256.0;
@@ -54,9 +70,7 @@ fn main() {
     // Train a forest on the record's own features with a synthetic seizure
     // band so both classes are present (the band scales with the signal so
     // `--quick`'s short record still trains).
-    let matrix = extractor
-        .extract_batch(&a, &b, &cfg)
-        .expect("training features");
+    let matrix = batch_matrix(&extractor, &a, &b, &cfg);
     let seizure_band = windows / 3..windows / 3 + windows / 4;
     let labels: Vec<bool> = (0..windows).map(|i| seizure_band.contains(&i)).collect();
     let set = TrainingSet::from_rows(matrix.data(), matrix.num_features(), &labels)
@@ -70,9 +84,7 @@ fn main() {
 
     // --- End-to-end: batch engine (flat matrix + flat forest). ---
     let (batch_time, batch_probas) = best_of(reps, || {
-        let m = extractor
-            .extract_batch(&a, &b, &cfg)
-            .expect("batch features");
+        let m = batch_matrix(&extractor, &a, &b, &cfg);
         flat.predict_proba_batch(m.data(), m.num_features())
             .expect("batch probas")
     });

@@ -35,7 +35,8 @@
 use std::time::Instant;
 
 use seizure_bench::synth::synth_channels;
-use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
+use seizure_features::extractor::{RichFeatureSet, SlidingWindowConfig};
+use seizure_features::{FeatureMatrix, FeatureScratchPool};
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::training::{train_forest, TrainingSet};
@@ -81,7 +82,10 @@ fn main() {
     let (a, b) = synth_channels(secs, fs, 0x1357_9bdf_2468_acee);
     let cfg = SlidingWindowConfig::paper_default(fs).expect("paper config");
     let extractor = RichFeatureSet::new(fs).expect("extractor");
-    let matrix = extractor.extract_batch(&a, &b, &cfg).expect("features");
+    let mut matrix = FeatureMatrix::default();
+    extractor
+        .extract_batch_into(&a, &b, &cfg, &FeatureScratchPool::new(), &mut matrix)
+        .expect("features");
     let samples = matrix.num_windows();
     let num_features = matrix.num_features();
     let labels: Vec<bool> = (0..samples).map(|i| (i / 20) % 2 == 0).collect();

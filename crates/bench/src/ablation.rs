@@ -13,7 +13,7 @@ use seizure_core::labeler::{LabelerConfig, PosterioriLabeler};
 use seizure_core::metric::DeviationSummary;
 use seizure_core::{CoreError, SeizureLabel};
 use seizure_data::cohort::Cohort;
-use seizure_features::extractor::{FeatureExtractor, SlidingWindowConfig};
+use seizure_features::extractor::SlidingWindowConfig;
 use seizure_features::selection::{backward_elimination, CentroidSeparation};
 
 /// Labeling quality with a given number of features.

@@ -12,7 +12,7 @@ use crate::label::SeizureLabel;
 use crate::workspace::FeatureWorkspace;
 use seizure_data::sampler::EegRecord;
 use seizure_data::signal::EegSignal;
-use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet, SlidingWindowConfig};
+use seizure_features::extractor::{PaperFeatureSet, SlidingWindowConfig};
 use seizure_features::FeatureMatrix;
 
 /// Configuration of the a-posteriori labeler.
@@ -58,11 +58,10 @@ impl PosterioriLabeler {
     /// Extracts the paper's ten-feature matrix from a two-channel signal
     /// through the parallel batch engine.
     ///
-    /// The batch engine's fused scratch kernels agree with the seed
-    /// `extract_matrix` path to ~1e-9 relative, not bitwise (same contract
-    /// as the real-time detector's batch path since the inference engine
-    /// landed), so labels on pathologically near-tie records may differ
-    /// from pre-batch-engine runs in the last ulps of the score.
+    /// The engine's fused scratch kernels agree with the allocating
+    /// one-window-at-a-time kernels they are tested against to ~1e-9
+    /// relative, not bitwise, so a pathologically near-tie record can rank
+    /// its candidates differently in the last ulps of the score.
     ///
     /// # Errors
     ///

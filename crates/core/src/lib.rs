@@ -59,10 +59,12 @@ pub mod labeler;
 pub mod metric;
 pub mod pipeline;
 pub mod realtime;
+#[cfg(test)]
+mod reference;
 pub mod workspace;
 
 pub use alarm::{alarms_from_windows, evaluate_events, Alarm, AlarmConfig, EventReport};
-pub use algorithm::{posteriori_detect, Detection, DetectorConfig, Implementation};
+pub use algorithm::{posteriori_detect, Detection, DetectorConfig};
 pub use error::CoreError;
 pub use label::SeizureLabel;
 pub use labeler::{LabelerConfig, PosterioriLabeler};

@@ -6,7 +6,7 @@
 //! personalized training set and the real-time detector is retrained. With
 //! every missed seizure the detector becomes more robust.
 
-use crate::algorithm::{DetectorConfig, Implementation};
+use crate::algorithm::DetectorConfig;
 use crate::error::CoreError;
 use crate::label::{window_labels, SeizureLabel};
 use crate::labeler::{LabelerConfig, PosterioriLabeler};
@@ -127,6 +127,13 @@ pub struct SelfLearningPipeline {
 /// signal, while records degraded by sustained artifact (saturation, severe
 /// wander, electrode dropout) reject the majority of their windows.
 pub const QUARANTINE_REJECT_FRACTION: f64 = 0.25;
+
+/// Snapshot marker of the labeler's Algorithm 1 implementation: the
+/// prefix-sum one, the only one there is.
+const LABELER_PREFIX_SUM: u8 = 1;
+/// Retired marker of the literal pseudo-code transcription; decoding it fails
+/// with a typed error.
+const LABELER_RETIRED_LITERAL: u8 = 0;
 
 /// Length of the per-entry annotation: the produced label's onset and offset
 /// plus the quality gate's post-record amplitude reference (two per-channel
@@ -436,11 +443,9 @@ impl SelfLearningPipeline {
         w.f64(labeler.window_secs);
         w.f64(labeler.overlap);
         w.usize(labeler.detector.subsample_step);
-        w.u8(match labeler.detector.implementation {
-            Implementation::Reference => 0,
-            Implementation::Optimized => 1,
-        });
-        w.bool(labeler.detector.normalize);
+        // Line 1 normalization always runs; the flag stays in the format.
+        w.u8(LABELER_PREFIX_SUM);
+        w.bool(true);
         // The detector (and through it the O(pool) trainer payload) is
         // nested in place — lengths and checksums are back-patched instead
         // of memcpying separately finished child envelopes.
@@ -467,23 +472,38 @@ impl SelfLearningPipeline {
     ///
     /// Returns [`CoreError::Persist`] for truncated, foreign, corrupted,
     /// version-mismatched or internally inconsistent snapshots — never a
-    /// panic.
+    /// panic. A snapshot of a retired labeler setting (implementation marker
+    /// 0, the literal pseudo-code transcription, or Line 1 normalization
+    /// off) is refused as [`PersistError::Corrupted`] naming the setting.
     pub fn resume(bytes: &[u8]) -> Result<Self, CoreError> {
         let mut r = SnapshotReader::open(bytes, SnapshotKind::SelfLearningPipeline)?;
         let window_secs = r.f64()?;
         let overlap = r.f64()?;
         let subsample_step = r.usize()?;
-        let implementation = match r.u8()? {
-            0 => Implementation::Reference,
-            1 => Implementation::Optimized,
+        match r.u8()? {
+            LABELER_PREFIX_SUM => {}
+            LABELER_RETIRED_LITERAL => {
+                return Err(PersistError::Corrupted {
+                    detail: format!(
+                        "labeler implementation marker {LABELER_RETIRED_LITERAL} (literal \
+                         pseudo-code transcription) is retired"
+                    ),
+                }
+                .into())
+            }
             marker => {
                 return Err(PersistError::Corrupted {
                     detail: format!("unknown labeler implementation marker {marker}"),
                 }
                 .into())
             }
-        };
-        let normalize = r.bool()?;
+        }
+        if !r.bool()? {
+            return Err(PersistError::Corrupted {
+                detail: "labeler with Line 1 normalization off is retired".to_string(),
+            }
+            .into());
+        }
         let detector = RealTimeDetector::load_state(r.nested()?)?;
         let num_seizures = r.usize()?;
         let num_quarantined = r.usize()?;
@@ -502,11 +522,7 @@ impl SelfLearningPipeline {
         let labeler_config = LabelerConfig {
             window_secs,
             overlap,
-            detector: DetectorConfig {
-                subsample_step,
-                implementation,
-                normalize,
-            },
+            detector: DetectorConfig { subsample_step },
         };
         Ok(Self {
             labeler: PosterioriLabeler::new(labeler_config),
@@ -689,6 +705,7 @@ mod tests {
     use crate::realtime::balanced_indices;
     use seizure_data::cohort::Cohort;
     use seizure_data::sampler::SampleConfig;
+    use seizure_data::signal::EegSignal;
     use seizure_ml::forest::RandomForestConfig;
     use seizure_ml::persist::store::{FaultyFlash, MemFlash};
 
@@ -1165,11 +1182,8 @@ mod tests {
         reference.f64(labeler.window_secs);
         reference.f64(labeler.overlap);
         reference.usize(labeler.detector.subsample_step);
-        reference.u8(match labeler.detector.implementation {
-            Implementation::Reference => 0,
-            Implementation::Optimized => 1,
-        });
-        reference.bool(labeler.detector.normalize);
+        reference.u8(1);
+        reference.bool(true);
         reference.nested(&pipeline.detector.save_state());
         reference.usize(pipeline.num_seizures);
         reference.usize(pipeline.num_quarantined);
@@ -1182,6 +1196,89 @@ mod tests {
             pipeline.save(),
             reference.finish(SnapshotKind::SelfLearningPipeline)
         );
+    }
+
+    /// A half-second NaN burst on one channel leaves the reported record
+    /// learnable (the gate quarantines none of them) but turns the F8T4
+    /// features of every window touching it non-finite. Line 1 used to
+    /// spread those NaNs through their whole columns, so every Algorithm 1
+    /// distance went NaN and the label landed on the last candidate, about
+    /// 100 s after the seizure, and the pipeline learned from it. The label
+    /// must stay where the clean record puts it.
+    #[test]
+    fn a_nan_burst_does_not_move_the_produced_label() {
+        let cohort = Cohort::chb_mit_like(29);
+        let config = SampleConfig::new(240.0, 300.0, 64.0).unwrap();
+        let patient = 8;
+        let w = cohort.average_seizure_duration(patient).unwrap();
+        for seizure in 0..4 {
+            let record = cohort.sample_record(patient, seizure, &config, 0).unwrap();
+            let (mut f7t3, mut f8t4, fs) = record.signal().clone().into_parts();
+            let mut clean =
+                SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
+            clean
+                .observe_missed_seizure(&record, w, LabelSource::Algorithm)
+                .unwrap();
+
+            let burst = (20.0 * fs) as usize..(20.5 * fs) as usize;
+            for x in &mut f8t4[burst] {
+                *x = f64::NAN;
+            }
+            let (_, annotation, id, index) = record.into_parts();
+            let signal = EegSignal::new(std::mem::take(&mut f7t3), f8t4, fs).unwrap();
+            let burst_record = EegRecord::new(signal, annotation, id, index).unwrap();
+            let mut pipeline =
+                SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
+            pipeline
+                .observe_missed_seizure(&burst_record, w, LabelSource::Algorithm)
+                .unwrap();
+            assert_eq!(pipeline.num_quarantined(), 0, "seizure {seizure}");
+            let label = pipeline.produced_labels()[0];
+            let reference = clean.produced_labels()[0];
+            assert!(
+                (label.onset_secs() - reference.onset_secs()).abs() <= 1.0,
+                "seizure {seizure}: burst label {:.1} s, clean label {:.1} s",
+                label.onset_secs(),
+                reference.onset_secs()
+            );
+        }
+    }
+
+    /// Snapshots of the retired labeler settings — implementation marker
+    /// 0 (the literal pseudo-code transcription) and Line 1 normalization
+    /// off — are refused with a typed error naming the setting, while the
+    /// shipped setting (marker 1, normalization on) resumes.
+    #[test]
+    fn retired_labeler_settings_are_refused() {
+        let pipeline = SelfLearningPipeline::new(LabelerConfig::default(), fast_detector_config());
+        let snapshot = |marker: u8, normalize: bool| {
+            let labeler = pipeline.labeler.config();
+            let mut w = SnapshotWriter::new();
+            w.f64(labeler.window_secs);
+            w.f64(labeler.overlap);
+            w.usize(labeler.detector.subsample_step);
+            w.u8(marker);
+            w.bool(normalize);
+            w.nested(&pipeline.detector.save_state());
+            w.usize(0);
+            w.usize(0);
+            w.usize(0);
+            w.finish(SnapshotKind::SelfLearningPipeline)
+        };
+        assert_eq!(snapshot(1, true), pipeline.save());
+        assert!(SelfLearningPipeline::resume(&snapshot(1, true)).is_ok());
+        for (marker, normalize, needle) in [
+            (0, true, "marker 0"),
+            (1, false, "normalization off"),
+            (7, true, "unknown labeler implementation marker 7"),
+        ] {
+            match SelfLearningPipeline::resume(&snapshot(marker, normalize)) {
+                Err(CoreError::Persist(PersistError::Corrupted { detail })) => {
+                    assert!(detail.contains(needle), "{detail}");
+                }
+                other => panic!("marker {marker}/{normalize} must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::CoreError;
 use crate::label::{window_labels, SeizureLabel};
 use crate::workspace::FeatureWorkspace;
 use seizure_data::signal::EegSignal;
-use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
+use seizure_features::extractor::{RichFeatureSet, SlidingWindowConfig};
 use seizure_features::matrix::FeatureMatrix;
 use seizure_features::quality::{
     self, QualityExtractor, StreamingQuality, IDX_LOG_STD, NUM_QUALITY_FEATURES,

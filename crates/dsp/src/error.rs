@@ -8,10 +8,10 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::spectrum::periodogram;
+/// use seizure_dsp::spectrum::PsdPlan;
 /// use seizure_dsp::DspError;
 ///
-/// let err = periodogram(&[], 256.0).unwrap_err();
+/// let err = PsdPlan::new(0).unwrap_err();
 /// assert!(matches!(err, DspError::EmptyInput { .. }));
 /// ```
 #[derive(Debug, Clone, PartialEq)]

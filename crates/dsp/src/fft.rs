@@ -1,9 +1,11 @@
-//! Fast Fourier transform.
+//! Fast Fourier transform plans.
 //!
-//! Provides an iterative radix-2 decimation-in-time FFT for power-of-two lengths
-//! and a direct DFT fallback for arbitrary lengths, together with helpers for
-//! real-valued signals. Everything is implemented from scratch on `f64` so the
-//! crate carries no external numerical dependencies.
+//! [`FftPlan`] runs an iterative radix-2 decimation-in-time FFT for
+//! power-of-two lengths and a direct DFT for other lengths; [`RealFftPlan`]
+//! computes the power spectrum of a real signal with the packed two-for-one
+//! transform. Both precompute their tables once and execute into
+//! caller-provided buffers. Everything is implemented from scratch on `f64`
+//! so the crate carries no external numerical dependencies.
 
 use crate::error::DspError;
 
@@ -112,150 +114,10 @@ impl From<f64> for Complex {
     }
 }
 
-/// Returns `true` when `n` is a power of two (and non-zero).
-fn is_power_of_two(n: usize) -> bool {
-    n != 0 && (n & (n - 1)) == 0
-}
-
-/// Computes the forward discrete Fourier transform of `input`.
-///
-/// Power-of-two lengths use an iterative radix-2 Cooley–Tukey FFT
-/// (`O(n log n)`); other lengths fall back to a direct `O(n^2)` DFT, which is
-/// adequate for the short windows used in EEG feature extraction.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `input` is empty.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::{fft, Complex};
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let x = vec![Complex::from(1.0); 8];
-/// let spectrum = fft(&x)?;
-/// // A constant signal concentrates all energy in bin 0.
-/// assert!((spectrum[0].re - 8.0).abs() < 1e-12);
-/// assert!(spectrum[1].magnitude() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn fft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    transform(input, Direction::Forward)
-}
-
-/// Computes the inverse discrete Fourier transform of `input`.
-///
-/// The output is scaled by `1/n` so that `ifft(fft(x)) == x` up to rounding.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `input` is empty.
-pub fn ifft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    let mut out = transform(input, Direction::Inverse)?;
-    let scale = 1.0 / input.len() as f64;
-    for v in &mut out {
-        *v = v.scale(scale);
-    }
-    Ok(out)
-}
-
-/// Computes the forward FFT of a real-valued signal.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `signal` is empty.
-pub fn real_fft(signal: &[f64]) -> Result<Vec<Complex>, DspError> {
-    let buf: Vec<Complex> = signal.iter().map(|&x| Complex::from(x)).collect();
-    fft(&buf)
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Inverse,
-}
-
-impl Direction {
-    fn sign(self) -> f64 {
-        match self {
-            Direction::Forward => -1.0,
-            Direction::Inverse => 1.0,
-        }
-    }
-}
-
-fn transform(input: &[Complex], direction: Direction) -> Result<Vec<Complex>, DspError> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput { operation: "fft" });
-    }
-    if is_power_of_two(input.len()) {
-        Ok(radix2(input, direction))
-    } else {
-        Ok(dft(input, direction))
-    }
-}
-
-/// Iterative radix-2 decimation-in-time FFT. `input.len()` must be a power of two.
-fn radix2(input: &[Complex], direction: Direction) -> Vec<Complex> {
-    let n = input.len();
-    let mut data = input.to_vec();
-    if n == 1 {
-        // A single-point transform is the identity; the bit-reversal shift
-        // below would be undefined for n = 1.
-        return data;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    let sign = direction.sign();
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar_unit(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::from(1.0);
-            for k in 0..len / 2 {
-                let even = data[start + k];
-                let odd = data[start + k + len / 2] * w;
-                data[start + k] = even + odd;
-                data[start + k + len / 2] = even - odd;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
-    }
-    data
-}
-
-/// Direct DFT used for non-power-of-two lengths.
-fn dft(input: &[Complex], direction: Direction) -> Vec<Complex> {
-    let n = input.len();
-    let sign = direction.sign();
-    let mut out = vec![Complex::zero(); n];
-    for (k, out_k) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        for (t, &x) in input.iter().enumerate() {
-            let ang = sign * 2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
-            acc = acc + x * Complex::from_polar_unit(ang);
-        }
-        *out_k = acc;
-    }
-    out
-}
-
 /// A precomputed FFT execution plan for signals of one fixed length.
 ///
-/// The plan front-loads everything `fft` recomputes per call — the
-/// bit-reversal permutation and the per-stage twiddle factors for
+/// The plan front-loads everything a transform needs besides the samples —
+/// the bit-reversal permutation and the per-stage twiddle factors for
 /// power-of-two lengths, or the table of roots of unity for the direct-DFT
 /// fallback — and executes into a caller-provided output buffer, so the hot
 /// path performs **no heap allocations**. This is the building block of the
@@ -265,18 +127,17 @@ fn dft(input: &[Complex], direction: Direction) -> Vec<Complex> {
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::fft::{fft, Complex, FftPlan};
+/// use seizure_dsp::fft::{Complex, FftPlan};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let signal: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+/// // A constant signal concentrates all of its energy in bin 0.
+/// let signal = vec![2.5; 64];
 /// let plan = FftPlan::new(signal.len())?;
 /// let mut spectrum = vec![Complex::zero(); signal.len()];
 /// plan.forward_real_into(&signal, &mut spectrum)?;
 ///
-/// let reference = fft(&signal.iter().map(|&x| Complex::from(x)).collect::<Vec<_>>())?;
-/// for (a, b) in spectrum.iter().zip(reference.iter()) {
-///     assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
-/// }
+/// assert!((spectrum[0].re - 160.0).abs() < 1e-9);
+/// assert!(spectrum[1..].iter().all(|bin| bin.magnitude() < 1e-9));
 /// # Ok(())
 /// # }
 /// ```
@@ -368,7 +229,7 @@ impl FftPlan {
                 operation: "FftPlan::new",
             });
         }
-        let kind = if is_power_of_two(n) {
+        let kind = if n.is_power_of_two() {
             PlanKind::Radix2 {
                 rev: bit_reversal_table(n),
                 twiddles: stage_twiddles(n),
@@ -456,19 +317,21 @@ impl FftPlan {
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::fft::{real_fft, Complex, RealFftPlan};
+/// use seizure_dsp::fft::{Complex, RealFftPlan};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let signal: Vec<f64> = (0..128).map(|i| (i as f64 * 0.2).sin()).collect();
+/// // A tone completing 10 cycles in 128 samples puts |X[10]|² = (n/2)² in
+/// // bin 10 and nothing elsewhere.
+/// let signal: Vec<f64> = (0..128)
+///     .map(|i| (2.0 * std::f64::consts::PI * 10.0 * i as f64 / 128.0).sin())
+///     .collect();
 /// let plan = RealFftPlan::new(signal.len())?;
 /// let mut power = vec![0.0; plan.num_bins()];
 /// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
 /// plan.magnitudes_squared_into(&signal, &mut power, &mut scratch)?;
 ///
-/// let reference = real_fft(&signal)?;
-/// for (p, bin) in power.iter().zip(reference.iter()) {
-///     assert!((p - bin.magnitude_squared()).abs() < 1e-6);
-/// }
+/// assert!((power[10] - 64.0 * 64.0).abs() < 1e-6);
+/// assert!(power.iter().enumerate().all(|(k, p)| k == 10 || *p < 1e-9));
 /// # Ok(())
 /// # }
 /// ```
@@ -503,7 +366,7 @@ impl RealFftPlan {
                 operation: "RealFftPlan::new",
             });
         }
-        let kind = if n >= 2 && is_power_of_two(n) {
+        let kind = if n >= 2 && n.is_power_of_two() {
             let m = n / 2;
             let untangle = (0..=m / 2)
                 .map(|k| {
@@ -630,83 +493,13 @@ impl RealFftPlan {
     }
 }
 
-/// Next power of two greater than or equal to `n`.
-///
-/// Useful for zero-padding signals before calling [`fft`].
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(seizure_dsp::fft::next_power_of_two(1000), 1024);
-/// assert_eq!(seizure_dsp::fft::next_power_of_two(1024), 1024);
-/// ```
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::real_fft;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
-    }
-
-    #[test]
-    fn fft_of_empty_is_error() {
-        assert!(fft(&[]).is_err());
-        assert!(ifft(&[]).is_err());
-    }
-
-    #[test]
-    fn fft_of_single_sample_is_identity() {
-        let x = vec![Complex::new(3.5, -1.25)];
-        let spec = fft(&x).unwrap();
-        assert_eq!(spec, x);
-        let back = ifft(&spec).unwrap();
-        assert!(close(back[0].re, 3.5, 1e-12));
-        assert!(close(back[0].im, -1.25, 1e-12));
-    }
-
-    #[test]
-    fn fft_of_impulse_is_flat() {
-        let mut x = vec![Complex::zero(); 16];
-        x[0] = Complex::from(1.0);
-        let spec = fft(&x).unwrap();
-        for bin in spec {
-            assert!(close(bin.re, 1.0, 1e-12));
-            assert!(close(bin.im, 0.0, 1e-12));
-        }
-    }
-
-    #[test]
-    fn fft_of_constant_concentrates_in_dc() {
-        let x = vec![Complex::from(2.5); 32];
-        let spec = fft(&x).unwrap();
-        assert!(close(spec[0].re, 80.0, 1e-9));
-        for bin in &spec[1..] {
-            assert!(bin.magnitude() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_single_tone_peaks_at_expected_bin() {
-        let n = 128;
-        let k0 = 10;
-        let x: Vec<Complex> = (0..n)
-            .map(|n_| {
-                Complex::from((2.0 * std::f64::consts::PI * k0 as f64 * n_ as f64 / n as f64).sin())
-            })
-            .collect();
-        let spec = fft(&x).unwrap();
-        let peak = spec
-            .iter()
-            .take(n / 2)
-            .enumerate()
-            .max_by(|a, b| a.1.magnitude().total_cmp(&b.1.magnitude()))
-            .unwrap()
-            .0;
-        assert_eq!(peak, k0);
     }
 
     #[test]
@@ -734,55 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn ifft_inverts_fft_power_of_two() {
-        let x: Vec<Complex> = (0..64)
-            .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        let y = ifft(&fft(&x).unwrap()).unwrap();
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!(close(a.re, b.re, 1e-10));
-            assert!(close(a.im, b.im, 1e-10));
-        }
-    }
-
-    #[test]
-    fn ifft_inverts_fft_arbitrary_length() {
-        let x: Vec<Complex> = (0..50)
-            .map(|i| Complex::new((i as f64 * 0.11).cos(), (i as f64 * 0.23).sin()))
-            .collect();
-        let y = ifft(&fft(&x).unwrap()).unwrap();
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!(close(a.re, b.re, 1e-9));
-            assert!(close(a.im, b.im, 1e-9));
-        }
-    }
-
-    #[test]
-    fn dft_matches_radix2_on_power_of_two() {
-        let x: Vec<Complex> = (0..32)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.5).cos()))
-            .collect();
-        let a = radix2(&x, Direction::Forward);
-        let b = dft(&x, Direction::Forward);
-        for (u, v) in a.iter().zip(b.iter()) {
-            assert!(close(u.re, v.re, 1e-8));
-            assert!(close(u.im, v.im, 1e-8));
-        }
-    }
-
-    #[test]
-    fn parseval_energy_conservation() {
-        let x: Vec<Complex> = (0..256)
-            .map(|i| Complex::from((i as f64 * 0.05).sin() + 0.3 * (i as f64 * 0.31).cos()))
-            .collect();
-        let time_energy: f64 = x.iter().map(Complex::magnitude_squared).sum();
-        let spec = fft(&x).unwrap();
-        let freq_energy: f64 =
-            spec.iter().map(Complex::magnitude_squared).sum::<f64>() / x.len() as f64;
-        assert!(close(time_energy, freq_energy, 1e-6));
-    }
-
-    #[test]
     fn complex_arithmetic() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(-3.0, 0.5);
@@ -801,7 +545,7 @@ mod tests {
         let plan = FftPlan::new(signal.len()).unwrap();
         let mut out = vec![Complex::zero(); signal.len()];
         plan.forward_real_into(&signal, &mut out).unwrap();
-        let reference = real_fft(&signal).unwrap();
+        let reference = real_fft(&signal);
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!(close(a.re, b.re, 1e-8));
             assert!(close(a.im, b.im, 1e-8));
@@ -814,7 +558,7 @@ mod tests {
         let plan = FftPlan::new(signal.len()).unwrap();
         let mut out = vec![Complex::zero(); signal.len()];
         plan.forward_real_into(&signal, &mut out).unwrap();
-        let reference = real_fft(&signal).unwrap();
+        let reference = real_fft(&signal);
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!(close(a.re, b.re, 1e-7));
             assert!(close(a.im, b.im, 1e-7));
@@ -844,10 +588,19 @@ mod tests {
     }
 
     #[test]
-    fn next_power_of_two_values() {
-        assert_eq!(next_power_of_two(1), 1);
-        assert_eq!(next_power_of_two(3), 4);
-        assert_eq!(next_power_of_two(1024), 1024);
-        assert_eq!(next_power_of_two(1025), 2048);
+    fn real_plan_matches_the_oracle_on_both_paths() {
+        // 128 samples take the packed path, 77 the full-transform fallback.
+        for n in [128usize, 77] {
+            let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).sin()).collect();
+            let plan = RealFftPlan::new(n).unwrap();
+            let mut power = vec![0.0; plan.num_bins()];
+            let mut scratch = vec![Complex::zero(); plan.scratch_len()];
+            plan.magnitudes_squared_into(&signal, &mut power, &mut scratch)
+                .unwrap();
+            let reference = real_fft(&signal);
+            for (p, bin) in power.iter().zip(reference.iter()) {
+                assert!((p - bin.magnitude_squared()).abs() < 1e-6, "n={n}");
+            }
+        }
     }
 }

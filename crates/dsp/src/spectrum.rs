@@ -1,150 +1,12 @@
-//! Power spectral density estimation and band-power integration.
+//! Power spectral density estimation.
 //!
 //! The paper's selected feature set (§III-A) uses total and relative delta
 //! ([0.5, 4] Hz) and theta ([4, 8] Hz) band powers computed from 4-second EEG
-//! windows; this module provides the PSD estimators those features are built on.
+//! windows; this module provides the rectangular periodogram those features
+//! are integrated from.
 
 use crate::error::DspError;
-use crate::fft::{real_fft, Complex, RealFftPlan};
-
-/// A one-sided power spectral density estimate.
-///
-/// Frequencies run from DC to the Nyquist frequency with a uniform spacing of
-/// [`PowerSpectrum::resolution`] Hz.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerSpectrum {
-    /// Frequency axis in Hz, one entry per PSD bin.
-    freqs: Vec<f64>,
-    /// Power density per bin (signal-units² / Hz).
-    power: Vec<f64>,
-    /// Sampling frequency of the originating signal, in Hz.
-    fs: f64,
-}
-
-impl PowerSpectrum {
-    /// Creates a spectrum from raw frequency and power vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if the vectors are empty or of
-    /// different lengths, and [`DspError::InvalidParameter`] if `fs` is not
-    /// strictly positive.
-    pub fn new(freqs: Vec<f64>, power: Vec<f64>, fs: f64) -> Result<Self, DspError> {
-        if freqs.is_empty() || freqs.len() != power.len() {
-            return Err(DspError::InvalidLength {
-                operation: "PowerSpectrum::new",
-                actual: power.len(),
-                requirement: "non-empty and matching the frequency axis length",
-            });
-        }
-        if fs <= 0.0 || fs.is_nan() {
-            return Err(DspError::InvalidParameter {
-                name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
-            });
-        }
-        Ok(Self { freqs, power, fs })
-    }
-
-    /// Frequency axis in Hz.
-    pub fn freqs(&self) -> &[f64] {
-        &self.freqs
-    }
-
-    /// Power density values, aligned with [`PowerSpectrum::freqs`].
-    pub fn power(&self) -> &[f64] {
-        &self.power
-    }
-
-    /// Sampling frequency of the signal the spectrum was estimated from.
-    pub fn sampling_frequency(&self) -> f64 {
-        self.fs
-    }
-
-    /// Frequency spacing between consecutive bins in Hz.
-    pub fn resolution(&self) -> f64 {
-        if self.freqs.len() > 1 {
-            self.freqs[1] - self.freqs[0]
-        } else {
-            self.fs / 2.0
-        }
-    }
-
-    /// Total power integrated over the whole spectrum.
-    pub fn total_power(&self) -> f64 {
-        self.power.iter().sum::<f64>() * self.resolution()
-    }
-
-    /// Number of frequency bins.
-    pub fn len(&self) -> usize {
-        self.freqs.len()
-    }
-
-    /// Returns `true` if the spectrum has no bins (never the case for values
-    /// produced by this crate's estimators).
-    pub fn is_empty(&self) -> bool {
-        self.freqs.is_empty()
-    }
-}
-
-/// Estimates the PSD of `signal` with a single rectangular-windowed periodogram.
-///
-/// The estimate is one-sided and scaled so that integrating it over frequency
-/// recovers the signal power (Parseval-consistent): bin `k` is
-/// `|X[k]|² / (fs · n)`, doubled for the interior bins.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if the signal is empty and
-/// [`DspError::InvalidParameter`] if `fs` is not strictly positive.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::spectrum::periodogram;
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let fs = 256.0;
-/// let x: Vec<f64> = (0..1024)
-///     .map(|n| (2.0 * std::f64::consts::PI * 10.0 * n as f64 / fs).sin())
-///     .collect();
-/// let psd = periodogram(&x, fs)?;
-/// // Total power of a unit sine is 0.5.
-/// assert!((psd.total_power() - 0.5).abs() < 0.05);
-/// # Ok(())
-/// # }
-/// ```
-pub fn periodogram(signal: &[f64], fs: f64) -> Result<PowerSpectrum, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput {
-            operation: "periodogram",
-        });
-    }
-    if fs <= 0.0 || fs.is_nan() {
-        return Err(DspError::InvalidParameter {
-            name: "fs",
-            reason: format!("sampling frequency must be positive, got {fs}"),
-        });
-    }
-    let n = signal.len();
-    let spectrum = real_fft(signal)?;
-    let half = n / 2 + 1;
-    let mut power = Vec::with_capacity(half);
-    let mut freqs = Vec::with_capacity(half);
-    for (k, bin) in spectrum.iter().take(half).enumerate() {
-        // One-sided scaling: interior bins carry the energy of their negative-
-        // frequency mirror as well.
-        let two_sided = bin.magnitude_squared() / (fs * n as f64);
-        let one_sided = if k == 0 || (n.is_multiple_of(2) && k == half - 1) {
-            two_sided
-        } else {
-            2.0 * two_sided
-        };
-        power.push(one_sided);
-        freqs.push(k as f64 * fs / n as f64);
-    }
-    PowerSpectrum::new(freqs, power, fs)
-}
+use crate::fft::{Complex, RealFftPlan};
 
 /// A precomputed periodogram plan for windows of one fixed length.
 ///
@@ -153,11 +15,15 @@ pub fn periodogram(signal: &[f64], fs: f64) -> Result<PowerSpectrum, DspError> {
 /// heap allocations** on the hot path. Build one per window length, reuse it
 /// for every window.
 ///
+/// Bin `k` lies at `k · fs / n` Hz and holds `|X[k]|² / (fs · n)`, doubled
+/// for the interior bins, so summing the bins times the resolution
+/// `fs / n` recovers the signal power (Parseval).
+///
 /// # Example
 ///
 /// ```
 /// use seizure_dsp::fft::Complex;
-/// use seizure_dsp::spectrum::{periodogram, PsdPlan};
+/// use seizure_dsp::spectrum::PsdPlan;
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let fs = 256.0;
@@ -170,10 +36,9 @@ pub fn periodogram(signal: &[f64], fs: f64) -> Result<PowerSpectrum, DspError> {
 /// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
 /// plan.power_into(&x, fs, &mut power, &mut scratch)?;
 ///
-/// let reference = periodogram(&x, fs)?;
-/// for (a, b) in power.iter().zip(reference.power()) {
-///     assert!((a - b).abs() < 1e-9);
-/// }
+/// // Total power of a unit sine is 0.5.
+/// let total: f64 = power.iter().sum::<f64>() * plan.resolution(fs);
+/// assert!((total - 0.5).abs() < 0.05);
 /// # Ok(())
 /// # }
 /// ```
@@ -222,8 +87,7 @@ impl PsdPlan {
     }
 
     /// Computes the one-sided PSD of `signal` into `power`, using `scratch`
-    /// for the intermediate spectrum. Produces the same estimate as
-    /// [`periodogram`] without allocating.
+    /// for the intermediate spectrum, without allocating.
     ///
     /// # Errors
     ///
@@ -272,55 +136,12 @@ impl PsdPlan {
         }
         Ok(())
     }
-
-    /// Convenience wrapper turning one window into an owned [`PowerSpectrum`]
-    /// (allocates; the batch paths use [`PsdPlan::power_into`] instead).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`PsdPlan::power_into`].
-    pub fn power_spectrum(&self, signal: &[f64], fs: f64) -> Result<PowerSpectrum, DspError> {
-        let mut power = vec![0.0; self.num_bins()];
-        let mut scratch = vec![Complex::zero(); self.scratch_len()];
-        self.power_into(signal, fs, &mut power, &mut scratch)?;
-        let n = self.window_len();
-        let freqs = (0..self.num_bins())
-            .map(|k| k as f64 * fs / n as f64)
-            .collect();
-        PowerSpectrum::new(freqs, power, fs)
-    }
-}
-
-/// Integrates the PSD over the frequency band `[low_hz, high_hz]` (inclusive).
-///
-/// This is the "total band power" quantity used by the paper's spectral
-/// features. Relative band power is obtained by dividing by
-/// [`PowerSpectrum::total_power`].
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] if the band is malformed
-/// (`low_hz >= high_hz`, negative bounds, or NaN).
-pub fn band_power(psd: &PowerSpectrum, low_hz: f64, high_hz: f64) -> Result<f64, DspError> {
-    if low_hz.is_nan() || high_hz.is_nan() || low_hz < 0.0 || low_hz >= high_hz {
-        return Err(DspError::InvalidParameter {
-            name: "band",
-            reason: format!("invalid frequency band [{low_hz}, {high_hz}]"),
-        });
-    }
-    let resolution = psd.resolution();
-    let mut acc = 0.0;
-    for (f, p) in psd.freqs().iter().zip(psd.power()) {
-        if *f >= low_hz && *f <= high_hz {
-            acc += p * resolution;
-        }
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::periodogram;
 
     fn sine(freq: f64, fs: f64, n: usize, amplitude: f64) -> Vec<f64> {
         (0..n)
@@ -328,34 +149,34 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn periodogram_rejects_empty_and_bad_fs() {
-        assert!(periodogram(&[], 256.0).is_err());
-        assert!(periodogram(&[1.0, 2.0], 0.0).is_err());
-        assert!(periodogram(&[1.0, 2.0], -5.0).is_err());
+    fn plan_power(signal: &[f64], fs: f64) -> Vec<f64> {
+        let plan = PsdPlan::new(signal.len()).unwrap();
+        let mut power = vec![0.0; plan.num_bins()];
+        let mut scratch = vec![Complex::zero(); plan.scratch_len()];
+        plan.power_into(signal, fs, &mut power, &mut scratch)
+            .unwrap();
+        power
     }
 
     #[test]
-    fn periodogram_total_power_matches_signal_power() {
+    fn plan_total_power_matches_signal_power() {
         let fs = 256.0;
         let x = sine(16.0, fs, 1024, 1.0);
-        let psd = periodogram(&x, fs).unwrap();
+        let total: f64 = plan_power(&x, fs).iter().sum::<f64>() * fs / x.len() as f64;
         // A unit-amplitude sine has power 0.5.
-        assert!((psd.total_power() - 0.5).abs() < 0.02);
+        assert!((total - 0.5).abs() < 0.02);
     }
 
     #[test]
-    fn periodogram_peak_at_tone_frequency() {
+    fn plan_peak_at_tone_frequency() {
         let fs = 256.0;
         let x = sine(20.0, fs, 2048, 2.0);
-        let psd = periodogram(&x, fs).unwrap();
-        let (idx, _) = psd
-            .power()
-            .iter()
+        let (idx, _) = plan_power(&x, fs)
+            .into_iter()
             .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
-        assert!((psd.freqs()[idx] - 20.0).abs() < 0.2);
+        assert!((idx as f64 * fs / x.len() as f64 - 20.0).abs() < 0.2);
     }
 
     #[test]
@@ -373,58 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn band_power_isolates_tone() {
-        let fs = 256.0;
-        let n = 1024;
-        let mut x = sine(6.0, fs, n, 1.0); // theta tone
-        let x2 = sine(30.0, fs, n, 1.0); // beta tone
-        for (a, b) in x.iter_mut().zip(x2.iter()) {
-            *a += b;
-        }
-        let psd = periodogram(&x, fs).unwrap();
-        let theta = band_power(&psd, 4.0, 8.0).unwrap();
-        let beta = band_power(&psd, 25.0, 35.0).unwrap();
-        let delta = band_power(&psd, 0.5, 4.0).unwrap();
-        assert!(theta > 0.4 && theta < 0.6);
-        assert!(beta > 0.4 && beta < 0.6);
-        assert!(delta < 0.05);
-    }
-
-    #[test]
-    fn full_range_band_power_equals_total_power() {
-        let fs = 256.0;
-        let x = sine(10.0, fs, 512, 1.5);
-        let psd = periodogram(&x, fs).unwrap();
-        let full = band_power(&psd, 0.0, fs / 2.0).unwrap();
-        assert!((full / psd.total_power() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn band_power_rejects_bad_band() {
-        let psd = periodogram(&vec![1.0; 64], 64.0).unwrap();
-        assert!(band_power(&psd, 8.0, 4.0).is_err());
-        assert!(band_power(&psd, -1.0, 4.0).is_err());
-        assert!(band_power(&psd, f64::NAN, 4.0).is_err());
-    }
-
-    #[test]
-    fn power_spectrum_accessors() {
-        let psd = PowerSpectrum::new(vec![0.0, 1.0, 2.0], vec![0.5, 0.25, 0.25], 4.0).unwrap();
-        assert_eq!(psd.len(), 3);
-        assert!(!psd.is_empty());
-        assert_eq!(psd.resolution(), 1.0);
-        assert_eq!(psd.sampling_frequency(), 4.0);
-        assert!((psd.total_power() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_spectrum_rejects_mismatched_lengths() {
-        assert!(PowerSpectrum::new(vec![0.0, 1.0], vec![1.0], 2.0).is_err());
-        assert!(PowerSpectrum::new(vec![], vec![], 2.0).is_err());
-        assert!(PowerSpectrum::new(vec![0.0], vec![1.0], 0.0).is_err());
-    }
-
-    #[test]
     fn psd_plan_matches_periodogram_on_the_fallback_path() {
         let fs = 256.0;
         let x = sine(12.0, fs, 600, 1.3);
@@ -432,21 +201,18 @@ mod tests {
         let mut power = vec![0.0; plan.num_bins()];
         let mut scratch = vec![Complex::zero(); plan.window_len()];
         plan.power_into(&x, fs, &mut power, &mut scratch).unwrap();
-        let reference = periodogram(&x, fs).unwrap();
-        for (a, b) in power.iter().zip(reference.power()) {
+        let reference = periodogram(&x, fs);
+        for (a, b) in power.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
         }
     }
 
     #[test]
-    fn psd_plan_power_spectrum_equals_periodogram() {
+    fn psd_plan_matches_periodogram_on_the_packed_path() {
         let fs = 128.0;
         let x = sine(9.0, fs, 256, 0.7);
-        let plan = PsdPlan::new(x.len()).unwrap();
-        let a = plan.power_spectrum(&x, fs).unwrap();
-        let b = periodogram(&x, fs).unwrap();
-        assert_eq!(a.freqs(), b.freqs());
-        for (pa, pb) in a.power().iter().zip(b.power()) {
+        let reference = periodogram(&x, fs);
+        for (pa, pb) in plan_power(&x, fs).iter().zip(&reference) {
             assert!((pa - pb).abs() < 1e-10 * (1.0 + pb.abs()));
         }
     }
@@ -512,8 +278,8 @@ mod tests {
         ]
     }
 
-    /// The rectangular periodogram and its planned twin are pinned bit for
-    /// bit (goldens recorded on x86_64 Linux): 1024 samples take the packed
+    /// The rectangular periodogram oracle and its planned twin are pinned
+    /// bit for bit (goldens recorded on x86_64 Linux): 1024 samples take the packed
     /// real-FFT path, 600 the DFT fallback. The tolerance tests above cannot
     /// see a change in rounding; this one can.
     #[test]
@@ -557,12 +323,8 @@ mod tests {
         ];
         for (n, periodogram_bits, plan_bits) in cases {
             let x = golden_input(n);
-            let psd = periodogram(&x, fs).unwrap();
-            assert_eq!(
-                golden_bits(psd.power()),
-                periodogram_bits,
-                "periodogram, n={n}"
-            );
+            let psd = periodogram(&x, fs);
+            assert_eq!(golden_bits(&psd), periodogram_bits, "periodogram, n={n}");
             let plan = PsdPlan::new(n).unwrap();
             let mut power = vec![0.0; plan.num_bins()];
             let mut scratch = vec![Complex::zero(); plan.scratch_len()];

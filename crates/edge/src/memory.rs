@@ -87,6 +87,25 @@ const STREAM_WAVELET_FILTER_LEN: usize = 8;
 /// streaming wavelet only maintains detail buffers from here up.
 const STREAM_MIN_DETAIL_LEVEL: usize = 3;
 
+/// Whole seconds of a `buffer_secs` history buffer, rounded up: the
+/// labeler keeps one distance row and the quality gate one verdict byte per
+/// second. Rejects a duration that is not positive and finite or that
+/// exceeds `usize::MAX / 256` seconds.
+fn buffer_seconds(buffer_secs: f64) -> Result<usize, EdgeError> {
+    let longest = (usize::MAX / 256) as f64;
+    // `false` for NaN and for ±∞ as well.
+    if buffer_secs > 0.0 && buffer_secs <= longest {
+        Ok(buffer_secs.ceil() as usize)
+    } else {
+        Err(EdgeError::InvalidParameter {
+            name: "buffer_secs",
+            reason: format!(
+                "buffer duration must be positive and at most {longest} s, got {buffer_secs}"
+            ),
+        })
+    }
+}
+
 impl MemoryModel {
     /// Creates a memory model for the given platform.
     pub fn new(spec: PlatformSpec) -> Self {
@@ -266,17 +285,20 @@ impl MemoryModel {
     /// rewrites in place, and the fused quality kernel's step buffer: one
     /// `f64` `|Δ|` per sample of a one-channel 4-second window (channels are
     /// assessed one after the other through the same buffer).
-    pub fn quality_scratch_bytes(&self, buffer_secs: f64) -> usize {
-        if buffer_secs <= 0.0 || buffer_secs.is_nan() {
-            return 0;
-        }
-        let verdict_rows = buffer_secs.ceil() as usize;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdgeError::InvalidParameter`] if the buffer duration is not
+    /// positive and finite or too long to price (see
+    /// [`MemoryModel::budget`]).
+    pub fn quality_scratch_bytes(&self, buffer_secs: f64) -> Result<usize, EdgeError> {
+        let verdict_rows = buffer_seconds(buffer_secs)?;
         let window = (4.0 * self.spec.eeg_sampling_hz) as usize;
         let corrected_window = window * self.spec.num_channels;
-        QUALITY_FEATURES * std::mem::size_of::<f64>()
+        Ok(QUALITY_FEATURES * std::mem::size_of::<f64>()
             + verdict_rows
             + corrected_window * std::mem::size_of::<f64>()
-            + window * std::mem::size_of::<f64>()
+            + window * std::mem::size_of::<f64>())
     }
 
     /// [`MemoryModel::budget_with_snapshot`] for a quality-gated detector:
@@ -299,7 +321,7 @@ impl MemoryModel {
     ) -> Result<MemoryBudget, EdgeError> {
         let mut budget =
             self.budget_with_snapshot(buffer_secs, snapshot_bytes + GATE_STATE_BYTES)?;
-        budget.working_bytes += self.quality_scratch_bytes(buffer_secs);
+        budget.working_bytes += self.quality_scratch_bytes(buffer_secs)?;
         budget.fits_ram = budget.working_bytes <= self.spec.ram_bytes;
         Ok(budget)
     }
@@ -412,21 +434,17 @@ impl MemoryModel {
     /// # Errors
     ///
     /// Returns [`EdgeError::InvalidParameter`] if the buffer duration is not
-    /// positive.
+    /// positive and finite, or longer than `usize::MAX / 256` seconds (every
+    /// per-second term of the budget costs under 256 bytes, so within that
+    /// bound no byte count can overflow).
     pub fn budget(&self, buffer_secs: f64) -> Result<MemoryBudget, EdgeError> {
-        if buffer_secs <= 0.0 || buffer_secs.is_nan() {
-            return Err(EdgeError::InvalidParameter {
-                name: "buffer_secs",
-                reason: format!("buffer duration must be positive, got {buffer_secs}"),
-            });
-        }
+        let rows = buffer_seconds(buffer_secs)?;
         let history_bytes =
             (PAPER_HISTORY_BYTES_PER_HOUR as f64 * buffer_secs / 3600.0).ceil() as usize;
         // Working set: one 4-second raw window on both channels (f32), the
         // 10-feature row, and the Algorithm 1 distance/accumulator vectors for
         // one hour of rows.
         let window_samples = (4.0 * self.spec.eeg_sampling_hz) as usize * self.spec.num_channels;
-        let rows = (buffer_secs / 1.0).ceil() as usize;
         let working_bytes = window_samples * std::mem::size_of::<f32>()
             + 10 * std::mem::size_of::<f32>()
             + rows * std::mem::size_of::<f32>() // distance array
@@ -474,9 +492,28 @@ mod tests {
 
     #[test]
     fn invalid_duration_is_rejected() {
-        assert!(model().budget(0.0).is_err());
-        assert!(model().budget(-5.0).is_err());
-        assert!(model().budget(f64::NAN).is_err());
+        // Regression: an infinite or astronomically long buffer used to
+        // overflow the byte counts (a panic in debug builds, a wrapped
+        // `fits_ram: true` in release builds).
+        let model = model();
+        for secs in [0.0, -5.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert!(
+                matches!(model.budget(secs), Err(EdgeError::InvalidParameter { .. })),
+                "{secs}"
+            );
+            assert!(
+                matches!(
+                    model.quality_scratch_bytes(secs),
+                    Err(EdgeError::InvalidParameter { .. })
+                ),
+                "{secs}"
+            );
+            assert!(model.budget_with_quality_gate(secs, 1).is_err(), "{secs}");
+        }
+        // The longest accepted buffer prices without overflowing.
+        let longest = (usize::MAX / 256) as f64;
+        assert!(model.budget_with_quality_gate(longest, 0).is_ok());
+        assert!(model.budget(longest * 2.0).is_err());
     }
 
     #[test]
@@ -532,10 +569,10 @@ mod tests {
         // second, plus one 4 s two-channel f64 window for the gain
         // correction and one 4 s one-channel f64 step buffer for the
         // quality kernel.
-        let scratch = model.quality_scratch_bytes(1200.0);
+        let scratch = model.quality_scratch_bytes(1200.0).unwrap();
         assert_eq!(scratch, 15 * 8 + 1200 + 4 * 256 * 2 * 8 + 4 * 256 * 8);
-        assert_eq!(model.quality_scratch_bytes(0.0), 0);
-        assert_eq!(model.quality_scratch_bytes(f64::NAN), 0);
+        assert!(model.quality_scratch_bytes(0.0).is_err());
+        assert!(model.quality_scratch_bytes(f64::NAN).is_err());
 
         // Flash grows by exactly the gate block, RAM by the scratch — and
         // the 20-minute gated budget still fits the platform.

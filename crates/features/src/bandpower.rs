@@ -4,9 +4,6 @@
 //! [0.5, 4] Hz and theta is [4, 8] Hz; the remaining standard bands are provided
 //! for the rich feature set of the real-time detector.
 
-use crate::error::FeatureError;
-use seizure_dsp::spectrum::{band_power, periodogram, PowerSpectrum};
-
 /// Standard clinical EEG frequency bands.
 ///
 /// # Example
@@ -99,48 +96,13 @@ impl BandPowers {
     }
 }
 
-/// Computes absolute and relative power for all five clinical bands from a
-/// single PSD estimate.
-///
-/// # Errors
-///
-/// Propagates [`FeatureError::Dsp`] from the underlying PSD estimation.
-pub fn all_band_powers(window: &[f64], fs: f64) -> Result<BandPowers, FeatureError> {
-    let psd = periodogram(window, fs)?;
-    Ok(band_powers_from_psd(&psd)?)
-}
-
-/// Computes absolute and relative band powers from an existing PSD.
-///
-/// # Errors
-///
-/// Propagates [`seizure_dsp::DspError`] if a band is malformed (cannot happen
-/// for the fixed clinical bands).
-pub fn band_powers_from_psd(psd: &PowerSpectrum) -> Result<BandPowers, seizure_dsp::DspError> {
-    let total = psd.total_power();
-    let mut absolute = [0.0; 5];
-    let mut relative = [0.0; 5];
-    for (i, band) in Band::ALL.iter().enumerate() {
-        let (lo, hi) = band.range();
-        absolute[i] = band_power(psd, lo, hi)?;
-        relative[i] = if total > 0.0 {
-            absolute[i] / total
-        } else {
-            0.0
-        };
-    }
-    Ok(BandPowers {
-        absolute,
-        relative,
-        total,
-    })
-}
-
-/// Computes absolute and relative band powers straight from raw one-sided PSD
-/// bins (as filled by [`seizure_dsp::spectrum::PsdPlan::power_into`]) without
-/// materializing a [`PowerSpectrum`]. `window_len` is the analysis-window
-/// length the bins came from. This is the allocation-free twin of
-/// [`band_powers_from_psd`] used by the batch inference engine.
+/// Computes absolute and relative power for all five clinical bands straight
+/// from raw one-sided PSD bins (as filled by
+/// [`seizure_dsp::spectrum::PsdPlan::power_into`]; bin `k` lies at
+/// `k · fs / window_len` Hz) in one pass, without allocating. `window_len` is
+/// the analysis-window length the bins came from. A band includes both of
+/// its edges; the relative powers divide by the total power over all bins
+/// (0 for a silent window).
 ///
 /// # Errors
 ///
@@ -193,11 +155,24 @@ pub fn band_powers_from_bins(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::all_band_powers;
+    use seizure_dsp::fft::Complex;
+    use seizure_dsp::spectrum::PsdPlan;
 
     fn tone(freq: f64, fs: f64, n: usize, amp: f64) -> Vec<f64> {
         (0..n)
             .map(|i| amp * (2.0 * std::f64::consts::PI * freq * i as f64 / fs).sin())
             .collect()
+    }
+
+    /// Band powers of `window` through the planned periodogram.
+    fn band_powers(window: &[f64], fs: f64) -> BandPowers {
+        let plan = PsdPlan::new(window.len()).unwrap();
+        let mut power = vec![0.0; plan.num_bins()];
+        let mut scratch = vec![Complex::zero(); plan.scratch_len()];
+        plan.power_into(window, fs, &mut power, &mut scratch)
+            .unwrap();
+        band_powers_from_bins(&power, fs, window.len()).unwrap()
     }
 
     #[test]
@@ -219,7 +194,7 @@ mod tests {
     fn theta_tone_dominates_theta_band() {
         let fs = 256.0;
         let window = tone(6.0, fs, 1024, 1.0);
-        let bp = all_band_powers(&window, fs).unwrap();
+        let bp = band_powers(&window, fs);
         let theta = bp.absolute(Band::Theta);
         let delta = bp.absolute(Band::Delta);
         let beta = bp.absolute(Band::Beta);
@@ -231,7 +206,7 @@ mod tests {
     fn relative_power_of_pure_tone_is_near_one() {
         let fs = 256.0;
         let window = tone(6.0, fs, 1024, 3.0);
-        let rel = all_band_powers(&window, fs).unwrap().relative(Band::Theta);
+        let rel = band_powers(&window, fs).relative(Band::Theta);
         assert!(rel > 0.95);
     }
 
@@ -243,7 +218,7 @@ mod tests {
         for (a, b) in window.iter_mut().zip(t2.iter()) {
             *a += b;
         }
-        let bp = all_band_powers(&window, fs).unwrap();
+        let bp = band_powers(&window, fs);
         let sum: f64 = bp.relative.iter().sum();
         assert!(sum <= 1.0 + 1e-9);
         assert!(bp.total > 0.0);
@@ -253,19 +228,47 @@ mod tests {
     fn accessors_are_consistent_with_arrays() {
         let fs = 256.0;
         let window = tone(6.0, fs, 512, 1.0);
-        let bp = all_band_powers(&window, fs).unwrap();
+        let bp = band_powers(&window, fs);
         assert_eq!(bp.absolute(Band::Theta), bp.absolute[1]);
         assert_eq!(bp.relative(Band::Delta), bp.relative[0]);
     }
 
     #[test]
     fn empty_window_is_rejected() {
-        assert!(all_band_powers(&[], 256.0).is_err());
+        assert!(band_powers_from_bins(&[], 256.0, 0).is_err());
+        assert!(band_powers_from_bins(&[1.0], f64::NAN, 1).is_err());
     }
 
     #[test]
     fn zero_signal_has_zero_relative_power() {
-        let bp = all_band_powers(&vec![0.0; 512], 256.0).unwrap();
+        let bp = band_powers(&vec![0.0; 512], 256.0);
         assert!(bp.relative.iter().all(|&r| r == 0.0));
+    }
+
+    #[test]
+    fn one_pass_matches_the_per_band_oracle() {
+        // 1024 samples take the packed real FFT, 600 the DFT fallback; a
+        // two-tone mix puts power on both sides of a band edge.
+        let fs = 256.0;
+        for n in [1024usize, 600] {
+            let mut window = tone(4.0, fs, n, 1.0);
+            for (a, b) in window.iter_mut().zip(tone(21.0, fs, n, 0.4)) {
+                *a += b;
+            }
+            let fast = band_powers(&window, fs);
+            let reference = all_band_powers(&window, fs).unwrap();
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + b.abs());
+            assert!(close(fast.total, reference.total), "n={n}");
+            for i in 0..5 {
+                assert!(
+                    close(fast.absolute[i], reference.absolute[i]),
+                    "n={n} band {i}"
+                );
+                assert!(
+                    close(fast.relative[i], reference.relative[i]),
+                    "n={n} band {i}"
+                );
+            }
+        }
     }
 }

@@ -8,80 +8,8 @@
 use crate::error::FeatureError;
 use seizure_dsp::stats;
 
-/// Permutation entropy of `data` with ordinal patterns of length `order` and
-/// the given `delay` between successive samples of a pattern.
-///
-/// The result is normalized by `ln(order!)` so it lies in `[0, 1]`, with 1
-/// corresponding to a fully random ordinal structure. If the series is too
-/// short to contain a single pattern the entropy is defined as `0`.
-///
-/// # Errors
-///
-/// Returns [`FeatureError::InvalidConfig`] if `order < 2` or `delay == 0`.
-///
-/// # Example
-///
-/// ```
-/// use seizure_features::entropy::permutation_entropy;
-///
-/// # fn main() -> Result<(), seizure_features::FeatureError> {
-/// // A monotonically increasing ramp has a single ordinal pattern -> entropy 0.
-/// let ramp: Vec<f64> = (0..100).map(|i| i as f64).collect();
-/// assert!(permutation_entropy(&ramp, 3, 1)? < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn permutation_entropy(data: &[f64], order: usize, delay: usize) -> Result<f64, FeatureError> {
-    if order < 2 {
-        return Err(FeatureError::InvalidConfig {
-            name: "order",
-            reason: format!("permutation order must be at least 2, got {order}"),
-        });
-    }
-    if delay == 0 {
-        return Err(FeatureError::InvalidConfig {
-            name: "delay",
-            reason: "delay must be at least 1".to_string(),
-        });
-    }
-    let span = (order - 1) * delay;
-    if data.len() <= span {
-        return Ok(0.0);
-    }
-    let num_patterns = data.len() - span;
-    // BTreeMap, not HashMap: the final entropy sum runs in iteration order,
-    // and a hash map's order would make the low bits of the result vary
-    // between processes.
-    let mut counts: std::collections::BTreeMap<Vec<u8>, usize> = std::collections::BTreeMap::new();
-    let mut indices: Vec<usize> = Vec::with_capacity(order);
-    for start in 0..num_patterns {
-        indices.clear();
-        indices.extend(0..order);
-        // Sort pattern positions by their sample values to obtain the ordinal
-        // rank. `total_cmp` ranks a NaN sample as the largest value instead of
-        // scrambling the whole pattern the way the former
-        // `partial_cmp().unwrap_or(Equal)` comparator did.
-        indices.sort_by(|&a, &b| {
-            let va = data[start + a * delay];
-            let vb = data[start + b * delay];
-            va.total_cmp(&vb)
-        });
-        let key: Vec<u8> = indices.iter().map(|&i| i as u8).collect();
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    let mut entropy = 0.0;
-    for &count in counts.values() {
-        let p = count as f64 / num_patterns as f64;
-        entropy -= p * p.ln();
-    }
-    let max_entropy = ln_factorial(order);
-    if max_entropy <= 0.0 {
-        return Ok(0.0);
-    }
-    Ok((entropy / max_entropy).clamp(0.0, 1.0))
-}
-
-fn ln_factorial(n: usize) -> f64 {
+/// `ln(order!)`, the entropy of a uniform ordinal-pattern distribution.
+pub(crate) fn ln_factorial(n: usize) -> f64 {
     (2..=n).map(|k| (k as f64).ln()).sum()
 }
 
@@ -90,19 +18,33 @@ fn ln_factorial(n: usize) -> f64 {
 /// buckets).
 pub const MAX_SCRATCH_ORDER: usize = 8;
 
-/// Allocation-free permutation entropy over a reusable counting buffer.
+/// Permutation entropy of `data` with ordinal patterns of length `order` and
+/// the given `delay` between successive samples of a pattern (Bandt & Pompe,
+/// 2002), over a reusable counting buffer.
 ///
-/// Computes the same quantity as [`permutation_entropy`], but instead of
-/// hashing one heap-allocated key per ordinal pattern it ranks each pattern
-/// with its Lehmer code and counts occurrences in a dense `order!`-slot table
-/// (`counts`, resized once and reused across calls). This is the hot-path
-/// variant used by the batch feature-extraction engine: zero allocations per
-/// call once `counts` has warmed up, and no hashing.
+/// The result is normalized by `ln(order!)` so it lies in `[0, 1]`, with 1
+/// corresponding to a fully random ordinal structure. If the series is too
+/// short to contain a single pattern the entropy is defined as `0`.
 ///
-/// Ordinal ranks are obtained with a stable insertion sort, so ties between
-/// equal samples break exactly as in [`permutation_entropy`]; the two
-/// variants count identical pattern multisets and differ at most by the
-/// floating-point summation order of the final entropy (≈ 1e-15).
+/// Each pattern is ranked with its Lehmer code and counted in a dense
+/// `order!`-slot table (`counts`, resized once and reused across calls): zero
+/// allocations per call once `counts` has warmed up, and no hashing. Ordinal
+/// ranks come from a stable insertion sort under `total_cmp`, so equal
+/// samples keep their position order and a NaN sample ranks largest.
+///
+/// # Example
+///
+/// ```
+/// use seizure_features::entropy::permutation_entropy_scratch;
+///
+/// # fn main() -> Result<(), seizure_features::FeatureError> {
+/// // A monotonically increasing ramp has a single ordinal pattern -> entropy 0.
+/// let ramp: Vec<f64> = (0..100).map(|i| i as f64).collect();
+/// let mut counts = Vec::new();
+/// assert!(permutation_entropy_scratch(&ramp, 3, 1, &mut counts)? < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -166,10 +108,9 @@ pub(crate) fn accumulate_pattern_counts(
             *slot = *value;
         }
         // Stable insertion sort of (value, position) pairs on the stack;
-        // shifting only on strictly-greater keeps tie order identical to the
-        // stable sort in `permutation_entropy`. The comparison is `total_cmp`
-        // for the same reason as there: a NaN sample ranks largest instead of
-        // freezing wherever it happens to sit.
+        // shifting only on strictly-greater keeps equal samples in position
+        // order. The comparison is `total_cmp`: a NaN sample ranks largest
+        // instead of freezing wherever it happens to sit.
         for (slot, position) in perm[..order].iter_mut().zip(0..order as u8) {
             *slot = position;
         }
@@ -518,6 +459,12 @@ fn count_similar(data: &[f64], m: usize, r: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::permutation_entropy;
+
+    /// The production kernel with a fresh counting table.
+    fn pe(data: &[f64], order: usize, delay: usize) -> Result<f64, FeatureError> {
+        permutation_entropy_scratch(data, order, delay, &mut Vec::new())
+    }
 
     fn pseudo_random(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed
@@ -566,14 +513,14 @@ mod tests {
     fn permutation_entropy_of_monotone_series_is_zero() {
         let ramp: Vec<f64> = (0..200).map(|i| i as f64 * 0.5).collect();
         for order in [3, 5, 7] {
-            assert!(permutation_entropy(&ramp, order, 1).unwrap() < 1e-12);
+            assert!(pe(&ramp, order, 1).unwrap() < 1e-12);
         }
     }
 
     #[test]
     fn permutation_entropy_of_random_series_is_high() {
         let noise = pseudo_random(4000, 7);
-        let pe = permutation_entropy(&noise, 3, 1).unwrap();
+        let pe = pe(&noise, 3, 1).unwrap();
         assert!(pe > 0.95, "pe = {pe}");
     }
 
@@ -581,29 +528,29 @@ mod tests {
     fn permutation_entropy_is_bounded() {
         let noise = pseudo_random(500, 13);
         for order in [3, 4, 5, 6, 7] {
-            let pe = permutation_entropy(&noise, order, 1).unwrap();
+            let pe = pe(&noise, order, 1).unwrap();
             assert!((0.0..=1.0).contains(&pe));
         }
     }
 
     #[test]
     fn permutation_entropy_short_series_is_zero() {
-        assert_eq!(permutation_entropy(&[1.0, 2.0], 5, 1).unwrap(), 0.0);
-        assert_eq!(permutation_entropy(&[], 3, 1).unwrap(), 0.0);
+        assert_eq!(pe(&[1.0, 2.0], 5, 1).unwrap(), 0.0);
+        assert_eq!(pe(&[], 3, 1).unwrap(), 0.0);
     }
 
     #[test]
     fn permutation_entropy_invalid_parameters() {
-        assert!(permutation_entropy(&[1.0; 10], 1, 1).is_err());
-        assert!(permutation_entropy(&[1.0; 10], 3, 0).is_err());
+        assert!(pe(&[1.0; 10], 1, 1).is_err());
+        assert!(pe(&[1.0; 10], 3, 0).is_err());
     }
 
     #[test]
     fn permutation_entropy_periodic_vs_random() {
         let periodic: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.3).sin()).collect();
         let random = pseudo_random(1000, 23);
-        let pe_per = permutation_entropy(&periodic, 5, 1).unwrap();
-        let pe_rand = permutation_entropy(&random, 5, 1).unwrap();
+        let pe_per = pe(&periodic, 5, 1).unwrap();
+        let pe_rand = pe(&random, 5, 1).unwrap();
         assert!(pe_rand > pe_per);
     }
 
@@ -743,8 +690,8 @@ mod tests {
         with_nan[137] = f64::NAN;
         with_inf[137] = f64::INFINITY;
         for order in [3, 5] {
-            let pe_nan = permutation_entropy(&with_nan, order, 1).unwrap();
-            let pe_inf = permutation_entropy(&with_inf, order, 1).unwrap();
+            let pe_nan = pe(&with_nan, order, 1).unwrap();
+            let pe_inf = pe(&with_inf, order, 1).unwrap();
             assert!(pe_nan.is_finite() && (0.0..=1.0).contains(&pe_nan));
             assert_eq!(pe_nan.to_bits(), pe_inf.to_bits());
         }

@@ -8,19 +8,19 @@
 //!   by the a-posteriori labeling algorithm;
 //! * [`RichFeatureSet`] — a 54-feature catalogue (27 per channel) mirroring the
 //!   real-time random-forest detector of Sopic et al. (e-Glass, ISCAS 2018).
+//!
+//! Both extract one window into a caller-provided row through a reusable
+//! [`FeatureScratch`] (`extract_window_into`) and a whole record into a flat
+//! [`FeatureMatrix`] across scoped worker threads (`extract_batch_into`).
 
-use crate::bandpower::{band_powers_from_bins, band_powers_from_psd, Band};
-use crate::entropy::{
-    permutation_entropy, renyi_entropy_quadratic, sample_entropy, shannon_entropy,
-};
+use crate::bandpower::{band_powers_from_bins, Band};
+use crate::entropy::{renyi_entropy_quadratic, sample_entropy, shannon_entropy};
 use crate::error::FeatureError;
-use crate::hjorth::{hjorth_parameters, hjorth_parameters_fused};
+use crate::hjorth::hjorth_parameters_fused;
 use crate::matrix::FeatureMatrix;
 use crate::scratch::{FeatureScratch, FeatureScratchPool};
-use crate::statistics::{window_statistics, window_statistics_fused};
+use crate::statistics::window_statistics_fused;
 use crate::waveform::{line_length, nonlinear_energy, peak_to_peak, zero_crossings};
-use seizure_dsp::spectrum::periodogram;
-use seizure_dsp::wavelet::{wavedec, Wavelet, WaveletDecomposition};
 
 /// Sliding-window segmentation parameters.
 ///
@@ -53,12 +53,7 @@ impl SlidingWindowConfig {
     /// window length is not positive and finite, the window does not fit in a
     /// `usize` sample count, or the overlap lies outside `[0, 1)`.
     pub fn new(fs: f64, window_secs: f64, overlap: f64) -> Result<Self, FeatureError> {
-        if !(fs > 0.0 && fs.is_finite()) {
-            return Err(FeatureError::InvalidConfig {
-                name: "fs",
-                reason: format!("sampling frequency must be positive and finite, got {fs}"),
-            });
-        }
+        check_sampling_frequency(fs)?;
         if !(window_secs > 0.0 && window_secs.is_finite()) {
             return Err(FeatureError::InvalidConfig {
                 name: "window_secs",
@@ -182,105 +177,15 @@ impl SlidingWindowConfig {
     }
 }
 
-/// A feature extractor mapping one pair of channel windows to a feature vector.
-///
-/// Implementations must return vectors whose length equals
-/// [`FeatureExtractor::num_features`] and whose entries line up with
-/// [`FeatureExtractor::feature_names`].
-pub trait FeatureExtractor {
-    /// Names of the produced features, in output order.
-    fn feature_names(&self) -> Vec<String>;
-
-    /// Number of features produced per window.
-    fn num_features(&self) -> usize {
-        self.feature_names().len()
-    }
-
-    /// Extracts the feature vector of a single window from the two channels.
-    ///
-    /// # Errors
-    ///
-    /// Implementations return [`FeatureError`] when the window is too short or
-    /// a numeric routine fails.
-    fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError>;
-
-    /// Extracts the full feature matrix by sliding `config`'s window over both
-    /// channels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ in
-    /// length and [`FeatureError::SignalTooShort`] if not even one window fits.
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        let count = config.num_windows(f7t3.len());
-        if count == 0 {
-            return Err(FeatureError::SignalTooShort {
-                actual: f7t3.len(),
-                required: config.window_samples(),
-            });
-        }
-        let mut matrix = FeatureMatrix::with_names(self.feature_names());
-        for (w1, w2) in config.windows(f7t3).zip(config.windows(f8t4)) {
-            matrix.push_row(self.extract_window(w1, w2)?)?;
-        }
-        Ok(matrix)
-    }
-
-    /// Extracts the full feature matrix through the batch engine: one flat
-    /// row-major buffer, filled in parallel across windows with per-thread
-    /// scratch workspaces.
-    ///
-    /// The default implementation falls back to the sequential
-    /// [`FeatureExtractor::extract_matrix`]; [`PaperFeatureSet`] and
-    /// [`RichFeatureSet`] override it with the allocation-free parallel path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FeatureExtractor::extract_matrix`].
-    fn extract_batch(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        self.extract_matrix(f7t3, f8t4, config)
-    }
-
-    /// Multi-record variant of [`FeatureExtractor::extract_batch`]: refills
-    /// `matrix` in place (reusing its allocation) and checks worker scratch
-    /// workspaces out of `pool` instead of building them per record, so a
-    /// whole cohort of records is extracted with one matrix buffer and one
-    /// scratch set.
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`FeatureExtractor::extract_batch`]; [`PaperFeatureSet`] and
-    /// [`RichFeatureSet`] override it with the fully reusable path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FeatureExtractor::extract_batch`].
-    fn extract_batch_into(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-        pool: &FeatureScratchPool,
-        matrix: &mut FeatureMatrix,
-    ) -> Result<(), FeatureError> {
-        let _ = pool;
-        *matrix = self.extract_batch(f7t3, f8t4, config)?;
+/// Rejects a sampling frequency that is not positive and finite.
+pub(crate) fn check_sampling_frequency(fs: f64) -> Result<(), FeatureError> {
+    if fs > 0.0 && fs.is_finite() {
         Ok(())
+    } else {
+        Err(FeatureError::InvalidConfig {
+            name: "fs",
+            reason: format!("sampling frequency must be positive and finite, got {fs}"),
+        })
     }
 }
 
@@ -358,7 +263,10 @@ where
 }
 
 /// Decomposition depth used for the wavelet-domain entropy features.
-const PAPER_WAVELET_LEVELS: usize = 7;
+pub(crate) const PAPER_WAVELET_LEVELS: usize = 7;
+
+/// Number of features [`PaperFeatureSet`] produces per window.
+const PAPER_FEATURES: usize = 10;
 
 /// The paper's ten-feature set (§III-A), selected by backward elimination.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -371,35 +279,16 @@ impl PaperFeatureSet {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive.
+    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive and
+    /// finite.
     pub fn new(fs: f64) -> Result<Self, FeatureError> {
-        if fs <= 0.0 || fs.is_nan() {
-            return Err(FeatureError::InvalidConfig {
-                name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
-            });
-        }
+        check_sampling_frequency(fs)?;
         Ok(Self { fs })
     }
 
     /// Sampling frequency the extractor was built for.
     pub fn sampling_frequency(&self) -> f64 {
         self.fs
-    }
-
-    fn decompose(&self, window: &[f64]) -> Result<WaveletDecomposition, FeatureError> {
-        let wavelet = Wavelet::Daubechies4;
-        let levels = PAPER_WAVELET_LEVELS
-            .min(wavelet.max_level(window.len()))
-            .max(1);
-        Ok(wavedec(window, wavelet, levels)?)
-    }
-
-    /// Detail coefficients at the requested level, falling back to the deepest
-    /// available level when the window is too short for the nominal depth.
-    fn detail_at(dec: &WaveletDecomposition, level: usize) -> &[f64] {
-        let level = level.min(dec.levels()).max(1);
-        dec.detail(level).expect("level clamped into valid range")
     }
 
     /// Builds the reusable scratch workspace for windows of `window_len`
@@ -413,9 +302,11 @@ impl PaperFeatureSet {
         FeatureScratch::new(self.fs, window_len, PAPER_WAVELET_LEVELS)
     }
 
-    /// Extracts the ten paper features into `out` using preallocated scratch
-    /// space — the allocation-free twin of
-    /// [`FeatureExtractor::extract_window`].
+    /// Extracts the ten paper features of one window pair into `out` using
+    /// preallocated scratch space, without allocating on the FFT, wavelet
+    /// or permutation-entropy path. The db4 decomposition is clamped to the
+    /// deepest level the window supports, and the level-7/6/3 features read
+    /// the deepest available level when the nominal one does not exist.
     ///
     /// # Errors
     ///
@@ -430,12 +321,11 @@ impl PaperFeatureSet {
         out: &mut [f64],
         scratch: &mut FeatureScratch,
     ) -> Result<(), FeatureError> {
-        if out.len() != self.num_features() {
+        if out.len() != PAPER_FEATURES {
             return Err(FeatureError::DimensionMismatch {
                 detail: format!(
-                    "output slice has {} slots but the paper set produces {} features",
+                    "output slice has {} slots but the paper set produces {PAPER_FEATURES} features",
                     out.len(),
-                    self.num_features()
                 ),
             });
         }
@@ -473,10 +363,9 @@ impl PaperFeatureSet {
         out[9] = sample_entropy(scratch.detail_clamped(6), 2, 0.35)?;
         Ok(())
     }
-}
 
-impl FeatureExtractor for PaperFeatureSet {
-    fn feature_names(&self) -> Vec<String> {
+    /// Names of the ten features, in output order.
+    pub fn feature_names(&self) -> Vec<String> {
         vec![
             "f7t3_theta_power".to_string(),
             "f7t3_theta_relative_power".to_string(),
@@ -491,64 +380,18 @@ impl FeatureExtractor for PaperFeatureSet {
         ]
     }
 
-    fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError> {
-        if f7t3.is_empty() || f8t4.is_empty() {
-            return Err(FeatureError::SignalTooShort {
-                actual: f7t3.len().min(f8t4.len()),
-                required: 2,
-            });
-        }
-        // Spectral features of F7T3 and F8T4 from one periodogram each.
-        let psd_left = periodogram(f7t3, self.fs)?;
-        let left = band_powers_from_psd(&psd_left)?;
-        let psd_right = periodogram(f8t4, self.fs)?;
-        let right = band_powers_from_psd(&psd_right)?;
-
-        // Wavelet-domain nonlinear features of F8T4.
-        let dec = self.decompose(f8t4)?;
-        let d7 = Self::detail_at(&dec, 7);
-        let d6 = Self::detail_at(&dec, 6);
-        let d3 = Self::detail_at(&dec, 3);
-
-        Ok(vec![
-            left.absolute(Band::Theta),
-            left.relative(Band::Theta),
-            left.absolute(Band::Delta),
-            right.relative(Band::Theta),
-            permutation_entropy(d7, 5, 1)?,
-            permutation_entropy(d7, 7, 1)?,
-            permutation_entropy(d6, 7, 1)?,
-            renyi_entropy_quadratic(d3),
-            sample_entropy(d6, 2, 0.2)?,
-            sample_entropy(d6, 2, 0.35)?,
-        ])
-    }
-
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        // The legacy row-by-row path delegates to the flat batch engine so
-        // every caller gets the allocation-free parallel extraction; the
-        // sequential trait default remains available as the test reference.
-        self.extract_batch(f7t3, f8t4, config)
-    }
-
-    fn extract_batch(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        let pool = FeatureScratchPool::new();
-        let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
-        Ok(matrix)
-    }
-
-    fn extract_batch_into(
+    /// Extracts the feature matrix of a whole record: one row per sliding
+    /// window of `config`, filled in parallel across scoped worker threads
+    /// into `matrix` (refilled in place, reusing its allocation), with the
+    /// workers' scratch workspaces checked out of `pool` instead of built
+    /// per record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ
+    /// in length and [`FeatureError::SignalTooShort`] if not even one window
+    /// fits; propagates numeric failures.
+    pub fn extract_batch_into(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
@@ -558,9 +401,8 @@ impl FeatureExtractor for PaperFeatureSet {
     ) -> Result<(), FeatureError> {
         let count = record_window_count(f7t3, f8t4, config)?;
         matrix.ensure_names(|| self.feature_names());
-        let num_features = matrix.num_features();
         parallel_extract_into(
-            num_features,
+            PAPER_FEATURES,
             f7t3,
             f8t4,
             config,
@@ -597,14 +439,10 @@ impl RichFeatureSet {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive.
+    /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive and
+    /// finite.
     pub fn new(fs: f64) -> Result<Self, FeatureError> {
-        if fs <= 0.0 || fs.is_nan() {
-            return Err(FeatureError::InvalidConfig {
-                name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
-            });
-        }
+        check_sampling_frequency(fs)?;
         Ok(Self { fs })
     }
 
@@ -643,58 +481,8 @@ impl RichFeatureSet {
         names
     }
 
-    fn channel_features(&self, window: &[f64]) -> Result<Vec<f64>, FeatureError> {
-        if window.len() < 3 {
-            return Err(FeatureError::SignalTooShort {
-                actual: window.len(),
-                required: 3,
-            });
-        }
-        let mut out = Vec::with_capacity(RICH_FEATURES_PER_CHANNEL);
-        let psd = periodogram(window, self.fs)?;
-        let bands = band_powers_from_psd(&psd)?;
-        out.extend_from_slice(&bands.absolute);
-        out.extend_from_slice(&bands.relative);
-        out.push(bands.total);
-
-        let stats = window_statistics(window)?;
-        out.extend_from_slice(&[
-            stats.mean,
-            stats.variance,
-            stats.skewness,
-            stats.kurtosis,
-            stats.rms,
-        ]);
-
-        let hjorth = hjorth_parameters(window)?;
-        out.push(hjorth.mobility);
-        out.push(hjorth.complexity);
-
-        out.push(line_length(window)?);
-        out.push(nonlinear_energy(window)?);
-        out.push(zero_crossings(window)? as f64);
-        out.push(peak_to_peak(window)?);
-
-        out.push(permutation_entropy(window, 3, 1)?);
-        out.push(permutation_entropy(window, 5, 1)?);
-
-        let wavelet = Wavelet::Daubechies4;
-        let levels = RICH_WAVELET_LEVELS
-            .min(wavelet.max_level(window.len()))
-            .max(1);
-        let dec = wavedec(window, wavelet, levels)?;
-        for level in [3usize, 4, 5] {
-            let level = level.min(dec.levels()).max(1);
-            let detail = dec.detail(level).expect("clamped level");
-            out.push(shannon_entropy(detail));
-        }
-        debug_assert_eq!(out.len(), RICH_FEATURES_PER_CHANNEL);
-        Ok(out)
-    }
-
     /// Builds the reusable scratch workspace for windows of `window_len`
-    /// samples (db4 decomposition clamped at level 5, matching
-    /// [`RichFeatureSet::extract_window`]).
+    /// samples (db4 decomposition clamped at level 5).
     ///
     /// # Errors
     ///
@@ -751,8 +539,8 @@ impl RichFeatureSet {
         Ok(())
     }
 
-    /// Extracts all 54 features into `out` using preallocated scratch space —
-    /// the allocation-free twin of [`FeatureExtractor::extract_window`].
+    /// Extracts all 54 features of one window pair into `out` using
+    /// preallocated scratch space: F7T3's 27-feature block, then F8T4's.
     ///
     /// # Errors
     ///
@@ -802,7 +590,7 @@ impl RichFeatureSet {
     /// holds the features of window `windows[r]`, in list order, duplicates
     /// allowed. Each row is the same [`RichFeatureSet::extract_window_into`]
     /// call on the same samples that
-    /// [`FeatureExtractor::extract_batch_into`] makes for that window, so a
+    /// [`RichFeatureSet::extract_batch_into`] makes for that window, so a
     /// gathered row is bit-identical to the matching row of the full matrix.
     /// An empty list leaves `out` empty.
     ///
@@ -849,45 +637,26 @@ impl RichFeatureSet {
             |w1, w2, row, scratch| self.extract_window_into(w1, w2, row, scratch),
         )
     }
-}
 
-impl FeatureExtractor for RichFeatureSet {
-    fn feature_names(&self) -> Vec<String> {
+    /// Names of the 54 features, in output order.
+    pub fn feature_names(&self) -> Vec<String> {
         let mut names = Self::channel_feature_names("f7t3");
         names.extend(Self::channel_feature_names("f8t4"));
         names
     }
 
-    fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError> {
-        let mut out = self.channel_features(f7t3)?;
-        out.extend(self.channel_features(f8t4)?);
-        Ok(out)
-    }
-
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        // Delegate the legacy row-by-row entry point to the flat batch
-        // engine; the sequential trait default remains the test reference.
-        self.extract_batch(f7t3, f8t4, config)
-    }
-
-    fn extract_batch(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        let pool = FeatureScratchPool::new();
-        let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
-        Ok(matrix)
-    }
-
-    fn extract_batch_into(
+    /// Extracts the feature matrix of a whole record: one row per sliding
+    /// window of `config`, filled in parallel across scoped worker threads
+    /// into `matrix` (refilled in place, reusing its allocation), with the
+    /// workers' scratch workspaces checked out of `pool` instead of built
+    /// per record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ
+    /// in length and [`FeatureError::SignalTooShort`] if not even one window
+    /// fits; propagates numeric failures.
+    pub fn extract_batch_into(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
@@ -897,9 +666,8 @@ impl FeatureExtractor for RichFeatureSet {
     ) -> Result<(), FeatureError> {
         let count = record_window_count(f7t3, f8t4, config)?;
         matrix.ensure_names(|| self.feature_names());
-        let num_features = matrix.num_features();
         parallel_extract_into(
-            num_features,
+            Self::NUM_FEATURES,
             f7t3,
             f8t4,
             config,
@@ -916,6 +684,7 @@ impl FeatureExtractor for RichFeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn tone(freq: f64, fs: f64, n: usize, amp: f64) -> Vec<f64> {
         (0..n)
@@ -1007,10 +776,51 @@ mod tests {
         assert!(windows.iter().all(|w| w.len() == 10));
     }
 
+    /// Record extraction into a fresh matrix through a fresh pool.
+    fn paper_batch(
+        ex: &PaperFeatureSet,
+        a: &[f64],
+        b: &[f64],
+        cfg: &SlidingWindowConfig,
+    ) -> Result<FeatureMatrix, FeatureError> {
+        let mut matrix = FeatureMatrix::default();
+        ex.extract_batch_into(a, b, cfg, &FeatureScratchPool::new(), &mut matrix)?;
+        Ok(matrix)
+    }
+
+    /// Record extraction into a fresh matrix through a fresh pool.
+    fn rich_batch(
+        ex: &RichFeatureSet,
+        a: &[f64],
+        b: &[f64],
+        cfg: &SlidingWindowConfig,
+    ) -> Result<FeatureMatrix, FeatureError> {
+        let mut matrix = FeatureMatrix::default();
+        ex.extract_batch_into(a, b, cfg, &FeatureScratchPool::new(), &mut matrix)?;
+        Ok(matrix)
+    }
+
+    /// One window pair through a fresh scratch.
+    fn paper_row(ex: &PaperFeatureSet, a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut scratch = ex.scratch(a.len()).unwrap();
+        let mut out = vec![0.0; PAPER_FEATURES];
+        ex.extract_window_into(a, b, &mut out, &mut scratch)
+            .unwrap();
+        out
+    }
+
+    /// One window pair through a fresh scratch.
+    fn rich_row(ex: &RichFeatureSet, a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut scratch = ex.scratch(a.len()).unwrap();
+        let mut out = vec![0.0; RichFeatureSet::NUM_FEATURES];
+        ex.extract_window_into(a, b, &mut out, &mut scratch)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn paper_feature_set_has_ten_named_features() {
         let ex = PaperFeatureSet::new(256.0).unwrap();
-        assert_eq!(ex.num_features(), 10);
         assert_eq!(ex.feature_names().len(), 10);
         assert!(ex.feature_names()[0].starts_with("f7t3"));
         assert!(ex.feature_names()[9].starts_with("f8t4"));
@@ -1018,8 +828,11 @@ mod tests {
 
     #[test]
     fn paper_feature_set_rejects_bad_fs() {
-        assert!(PaperFeatureSet::new(0.0).is_err());
-        assert!(RichFeatureSet::new(-1.0).is_err());
+        for fs in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(PaperFeatureSet::new(fs).is_err(), "{fs}");
+            assert!(RichFeatureSet::new(fs).is_err(), "{fs}");
+            assert!(FeatureScratch::new(fs, 1024, 5).is_err(), "{fs}");
+        }
     }
 
     #[test]
@@ -1028,8 +841,7 @@ mod tests {
         let ex = PaperFeatureSet::new(fs).unwrap();
         let w1 = tone(6.0, fs, 1024, 2.0);
         let w2 = tone(2.0, fs, 1024, 1.0);
-        let features = ex.extract_window(&w1, &w2).unwrap();
-        assert_eq!(features.len(), 10);
+        let features = paper_row(&ex, &w1, &w2);
         assert!(features.iter().all(|f| f.is_finite()));
         // F7T3 carries a theta tone, so its relative theta power is high.
         assert!(features[1] > 0.8);
@@ -1040,7 +852,7 @@ mod tests {
     #[test]
     fn paper_features_empty_window_rejected() {
         let ex = PaperFeatureSet::new(256.0).unwrap();
-        assert!(ex.extract_window(&[], &[]).is_err());
+        assert!(ex.scratch(0).is_err());
     }
 
     #[test]
@@ -1049,7 +861,7 @@ mod tests {
         let (a, b) = two_channels(fs, 20.0);
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = PaperFeatureSet::new(fs).unwrap();
-        let m = ex.extract_matrix(&a, &b, &cfg).unwrap();
+        let m = paper_batch(&ex, &a, &b, &cfg).unwrap();
         assert_eq!(m.num_features(), 10);
         assert_eq!(m.num_windows(), cfg.num_windows(a.len()));
     }
@@ -1062,7 +874,7 @@ mod tests {
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = PaperFeatureSet::new(fs).unwrap();
         assert!(matches!(
-            ex.extract_matrix(&a, &b, &cfg),
+            paper_batch(&ex, &a, &b, &cfg),
             Err(FeatureError::ChannelLengthMismatch { .. })
         ));
     }
@@ -1074,7 +886,7 @@ mod tests {
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = PaperFeatureSet::new(fs).unwrap();
         assert!(matches!(
-            ex.extract_matrix(&a, &a, &cfg),
+            paper_batch(&ex, &a, &a, &cfg),
             Err(FeatureError::SignalTooShort { .. })
         ));
     }
@@ -1082,8 +894,8 @@ mod tests {
     #[test]
     fn rich_feature_set_has_54_features() {
         let ex = RichFeatureSet::new(256.0).unwrap();
-        assert_eq!(ex.num_features(), 54);
         let names = ex.feature_names();
+        assert_eq!(names.len(), RichFeatureSet::NUM_FEATURES);
         assert_eq!(names.len(), 54);
         // Names must be unique.
         let unique: std::collections::HashSet<_> = names.iter().collect();
@@ -1096,8 +908,7 @@ mod tests {
         let ex = RichFeatureSet::new(fs).unwrap();
         let w1 = tone(6.0, fs, 1024, 2.0);
         let w2 = tone(25.0, fs, 1024, 1.0);
-        let features = ex.extract_window(&w1, &w2).unwrap();
-        assert_eq!(features.len(), 54);
+        let features = rich_row(&ex, &w1, &w2);
         assert!(features.iter().all(|f| f.is_finite()));
     }
 
@@ -1107,18 +918,17 @@ mod tests {
         let ex = RichFeatureSet::new(fs).unwrap();
         let quiet = tone(6.0, fs, 1024, 0.5);
         let loud = tone(6.0, fs, 1024, 3.0);
-        let f_quiet = ex.extract_window(&quiet, &quiet).unwrap();
-        let f_loud = ex.extract_window(&loud, &loud).unwrap();
+        let f_quiet = rich_row(&ex, &quiet, &quiet);
+        let f_loud = rich_row(&ex, &loud, &loud);
         let names = ex.feature_names();
         let ll_idx = names.iter().position(|n| n == "f7t3_line_length").unwrap();
         assert!(f_loud[ll_idx] > 3.0 * f_quiet[ll_idx]);
     }
 
-    fn assert_matrices_close(batch: &FeatureMatrix, reference: &FeatureMatrix, tol: f64) {
-        assert_eq!(batch.num_windows(), reference.num_windows());
-        assert_eq!(batch.num_features(), reference.num_features());
-        assert_eq!(batch.feature_names(), reference.feature_names());
-        for (r, (a, b)) in batch.rows().zip(reference.rows()).enumerate() {
+    fn assert_rows_close(batch: &FeatureMatrix, reference: &[Vec<f64>], tol: f64) {
+        assert_eq!(batch.num_windows(), reference.len());
+        for (r, (a, b)) in batch.rows().zip(reference).enumerate() {
+            assert_eq!(a.len(), b.len());
             for (c, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                 assert!(
                     (x - y).abs() <= tol * (1.0 + y.abs()),
@@ -1128,32 +938,20 @@ mod tests {
         }
     }
 
-    /// Window-by-window reference built directly from `extract_window`, the
-    /// way the pre-batch sequential path used to assemble matrices.
-    fn sequential_reference<E: FeatureExtractor>(
-        ex: &E,
-        a: &[f64],
-        b: &[f64],
-        cfg: &SlidingWindowConfig,
-    ) -> FeatureMatrix {
-        let mut reference = FeatureMatrix::with_names(ex.feature_names());
-        for (w1, w2) in cfg.windows(a).zip(cfg.windows(b)) {
-            reference
-                .push_row(ex.extract_window(w1, w2).unwrap())
-                .unwrap();
-        }
-        reference
-    }
-
     #[test]
     fn paper_batch_extraction_matches_sequential() {
         let fs = 256.0;
         let (a, b) = two_channels(fs, 20.0);
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = PaperFeatureSet::new(fs).unwrap();
-        let batch = ex.extract_batch(&a, &b, &cfg).unwrap();
-        let reference = sequential_reference(&ex, &a, &b, &cfg);
-        assert_matrices_close(&batch, &reference, 1e-9);
+        let batch = paper_batch(&ex, &a, &b, &cfg).unwrap();
+        assert_eq!(batch.feature_names(), ex.feature_names());
+        let reference: Vec<Vec<f64>> = cfg
+            .windows(&a)
+            .zip(cfg.windows(&b))
+            .map(|(w1, w2)| reference::paper_window(fs, w1, w2).unwrap())
+            .collect();
+        assert_rows_close(&batch, &reference, 1e-9);
     }
 
     #[test]
@@ -1162,26 +960,14 @@ mod tests {
         let (a, b) = two_channels(fs, 16.0);
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = RichFeatureSet::new(fs).unwrap();
-        let batch = ex.extract_batch(&a, &b, &cfg).unwrap();
-        let reference = sequential_reference(&ex, &a, &b, &cfg);
-        assert_matrices_close(&batch, &reference, 1e-9);
-    }
-
-    #[test]
-    fn extract_matrix_delegates_to_batch_engine() {
-        // The legacy `extract_matrix` entry point now routes through the
-        // flat batch engine: same names, same rows, bit-identical data.
-        let fs = 256.0;
-        let (a, b) = two_channels(fs, 12.0);
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let rich = RichFeatureSet::new(fs).unwrap();
-        let via_matrix = rich.extract_matrix(&a, &b, &cfg).unwrap();
-        let via_batch = rich.extract_batch(&a, &b, &cfg).unwrap();
-        assert_eq!(via_matrix, via_batch);
-        let paper = PaperFeatureSet::new(fs).unwrap();
-        let via_matrix = paper.extract_matrix(&a, &b, &cfg).unwrap();
-        let via_batch = paper.extract_batch(&a, &b, &cfg).unwrap();
-        assert_eq!(via_matrix, via_batch);
+        let batch = rich_batch(&ex, &a, &b, &cfg).unwrap();
+        assert_eq!(batch.feature_names(), ex.feature_names());
+        let reference: Vec<Vec<f64>> = cfg
+            .windows(&a)
+            .zip(cfg.windows(&b))
+            .map(|(w1, w2)| reference::rich_window(fs, w1, w2).unwrap())
+            .collect();
+        assert_rows_close(&batch, &reference, 1e-9);
     }
 
     #[test]
@@ -1192,12 +978,12 @@ mod tests {
         let ex = RichFeatureSet::new(fs).unwrap();
         b.pop();
         assert!(matches!(
-            ex.extract_batch(&a, &b, &cfg),
+            rich_batch(&ex, &a, &b, &cfg),
             Err(FeatureError::ChannelLengthMismatch { .. })
         ));
         let short = tone(5.0, fs, 512, 1.0);
         assert!(matches!(
-            ex.extract_batch(&short, &short, &cfg),
+            rich_batch(&ex, &short, &short, &cfg),
             Err(FeatureError::SignalTooShort { .. })
         ));
     }
@@ -1214,8 +1000,7 @@ mod tests {
             let (a, b) = two_channels(fs, secs);
             ex.extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
                 .unwrap();
-            let reference = ex.extract_batch(&a, &b, &cfg).unwrap();
-            assert_eq!(matrix, reference);
+            assert_eq!(matrix, rich_batch(&ex, &a, &b, &cfg).unwrap());
         }
         // The workers parked their scratches for the next record.
         assert!(pool.idle() > 0);
@@ -1226,7 +1011,7 @@ mod tests {
             .extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
             .unwrap();
         assert_eq!(matrix.num_features(), 10);
-        assert_eq!(matrix, paper.extract_batch(&a, &b, &cfg).unwrap());
+        assert_eq!(matrix, paper_batch(&paper, &a, &b, &cfg).unwrap());
     }
 
     #[test]
@@ -1244,7 +1029,7 @@ mod tests {
         paper
             .extract_window_into(&w1, &w2, &mut out, &mut scratch)
             .unwrap();
-        let reference = paper.extract_window(&w1, &w2).unwrap();
+        let reference = reference::paper_window(fs, &w1, &w2).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
@@ -1255,7 +1040,7 @@ mod tests {
         let mut out = vec![0.0; 54];
         rich.extract_window_into(&w1, &w2, &mut out, &mut scratch)
             .unwrap();
-        let reference = rich.extract_window(&w1, &w2).unwrap();
+        let reference = reference::rich_window(fs, &w1, &w2).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
@@ -1290,8 +1075,11 @@ mod tests {
         let fs = 64.0;
         let ex = PaperFeatureSet::new(fs).unwrap();
         let w = tone(5.0, fs, 64, 1.0);
-        let features = ex.extract_window(&w, &w).unwrap();
-        assert_eq!(features.len(), 10);
+        let features = paper_row(&ex, &w, &w);
         assert!(features.iter().all(|f| f.is_finite()));
+        let reference = reference::paper_window(fs, &w, &w).unwrap();
+        for (a, b) in features.iter().zip(reference.iter()) {
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
+        }
     }
 }

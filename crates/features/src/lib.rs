@@ -29,10 +29,17 @@
 //! al.), the sliding-window machinery, per-feature normalization and
 //! backward-elimination feature selection.
 //!
+//! Each feature family has one production kernel: the fused, allocation-free
+//! one the batch engine runs through a [`FeatureScratch`] (statistics,
+//! Hjorth descriptors, Lehmer-coded permutation entropy, one-pass band
+//! powers). The allocating kernels they are checked against live in a
+//! test-only `reference` module.
+//!
 //! # Example
 //!
 //! ```
-//! use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet, SlidingWindowConfig};
+//! use seizure_features::extractor::{PaperFeatureSet, SlidingWindowConfig};
+//! use seizure_features::{FeatureMatrix, FeatureScratchPool};
 //!
 //! # fn main() -> Result<(), seizure_features::FeatureError> {
 //! let fs = 256.0;
@@ -43,7 +50,8 @@
 //!
 //! let config = SlidingWindowConfig::paper_default(fs)?;
 //! let extractor = PaperFeatureSet::new(fs)?;
-//! let matrix = extractor.extract_matrix(&f7t3, &f8t4, &config)?;
+//! let mut matrix = FeatureMatrix::default();
+//! extractor.extract_batch_into(&f7t3, &f8t4, &config, &FeatureScratchPool::new(), &mut matrix)?;
 //! assert_eq!(matrix.num_features(), 10);
 //! assert!(matrix.num_windows() > 0);
 //! # Ok(())
@@ -61,6 +69,8 @@ pub mod hjorth;
 pub mod matrix;
 pub mod normalize;
 pub mod quality;
+#[cfg(test)]
+mod reference;
 pub mod scratch;
 pub mod selection;
 pub mod statistics;
@@ -68,7 +78,7 @@ pub mod streaming;
 pub mod waveform;
 
 pub use error::FeatureError;
-pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
+pub use extractor::{PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
 pub use matrix::FeatureMatrix;
 pub use quality::{QualityExtractor, QualityScratch, StreamingQuality};
 pub use scratch::{FeatureScratch, FeatureScratchPool};

@@ -14,6 +14,13 @@ use seizure_dsp::stats;
 /// Normalizes each feature column of `matrix` to zero mean and unit standard
 /// deviation (Algorithm 1, Line 1). Constant columns are only mean-centred.
 ///
+/// The mean and standard deviation of a column are taken over its finite
+/// entries only, and a non-finite entry (a window the extractor could not
+/// score, e.g. one holding a NaN sample burst) normalizes to `0`, the
+/// column mean: it adds no distance of its own instead of poisoning the
+/// whole column. A column without finite entries becomes all zeros.
+/// Matrices of finite values normalize exactly as before this rule.
+///
 /// # Errors
 ///
 /// Returns [`FeatureError::DimensionMismatch`] if the matrix has no windows.
@@ -41,12 +48,26 @@ pub fn normalize_features(matrix: &FeatureMatrix) -> Result<FeatureMatrix, Featu
     }
     let mut out = matrix.clone();
     for c in 0..matrix.num_features() {
-        let col = matrix.column(c);
-        let mean = stats::mean(&col)?;
-        let std = stats::std_dev(&col)?;
+        let mut finite = matrix.column(c);
+        finite.retain(|v| v.is_finite());
+        if finite.is_empty() {
+            for r in 0..out.num_windows() {
+                *out.get_mut(r, c) = 0.0;
+            }
+            continue;
+        }
+        let mean = stats::mean(&finite)?;
+        let std = stats::std_dev(&finite)?;
         for r in 0..out.num_windows() {
-            let centred = out.get(r, c) - mean;
-            *out.get_mut(r, c) = if std > 0.0 { centred / std } else { centred };
+            let value = out.get(r, c);
+            let centred = value - mean;
+            *out.get_mut(r, c) = if !value.is_finite() {
+                0.0
+            } else if std > 0.0 {
+                centred / std
+            } else {
+                centred
+            };
         }
     }
     Ok(out)
@@ -83,6 +104,32 @@ mod tests {
     fn constant_column_becomes_zero_without_nan() {
         let z = normalize_features(&sample()).unwrap();
         assert!(z.column(2).iter().all(|v| v.abs() < 1e-12 && v.is_finite()));
+    }
+
+    #[test]
+    fn non_finite_entries_neither_spread_nor_shift_the_column() {
+        // NaN and ±∞ entries normalize to the column mean; the finite
+        // entries normalize exactly as the finite rows alone would.
+        let mut rows = sample().to_rows();
+        let clean = normalize_features(&sample()).unwrap();
+        rows.insert(1, vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let names = sample().feature_names().to_vec();
+        let z =
+            normalize_features(&FeatureMatrix::from_rows(names.clone(), rows).unwrap()).unwrap();
+        assert_eq!(z.row(1), &[0.0, 0.0, 0.0]);
+        for (r, clean_r) in [(0, 0), (2, 1), (3, 2), (4, 3)] {
+            for c in 0..3 {
+                assert_eq!(z.get(r, c).to_bits(), clean.get(clean_r, c).to_bits());
+            }
+        }
+        // A column with no finite entry becomes all zeros.
+        let all_nan =
+            FeatureMatrix::from_rows(names[..1].to_vec(), vec![vec![f64::NAN]; 3]).unwrap();
+        assert!(normalize_features(&all_nan)
+            .unwrap()
+            .column(0)
+            .iter()
+            .all(|&v| v == 0.0));
     }
 
     #[test]

@@ -114,7 +114,7 @@
 //! ([`raw_level`]) is identical on every oracle case.
 
 use crate::error::FeatureError;
-use crate::extractor::SlidingWindowConfig;
+use crate::extractor::{check_sampling_frequency, SlidingWindowConfig};
 use crate::matrix::FeatureMatrix;
 use seizure_dsp::fft::Complex;
 use std::f64::consts::PI;
@@ -832,12 +832,7 @@ impl QualityExtractor {
     /// Returns [`FeatureError::InvalidConfig`] if `fs` is not a positive
     /// finite number.
     pub fn new(fs: f64) -> Result<Self, FeatureError> {
-        if !(fs.is_finite() && fs > 0.0) {
-            return Err(FeatureError::InvalidConfig {
-                name: "fs",
-                reason: format!("sampling frequency must be positive and finite, got {fs}"),
-            });
-        }
+        check_sampling_frequency(fs)?;
         let mut hum_bins: Vec<f64> = Vec::new();
         for f in MAINS_FAMILY {
             let folded = alias(f, fs);
@@ -929,7 +924,7 @@ impl QualityExtractor {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::extractor::FeatureExtractor::extract_matrix`].
+    /// Same contract as [`crate::extractor::RichFeatureSet::extract_batch_into`].
     pub fn extract_batch_into(
         &self,
         f7t3: &[f64],

@@ -1,9 +1,7 @@
 //! Reusable per-thread scratch space for allocation-free feature extraction.
 //!
 //! Extracting features from a 4-second window runs one periodogram and one
-//! multi-level wavelet decomposition per channel; in the seed implementation
-//! each of those allocated fresh buffers for every window of every record.
-//! [`FeatureScratch`] bundles the precomputed [`PsdPlan`] and
+//! multi-level wavelet decomposition per channel. [`FeatureScratch`] bundles the precomputed [`PsdPlan`] and
 //! [`WaveletWorkspace`] plus their output buffers, so the batch extraction
 //! path performs the FFT and DWT of every sliding window without touching the
 //! heap. One scratch is created per worker thread and reused across all
@@ -11,6 +9,7 @@
 
 use crate::entropy::permutation_entropy_scratch;
 use crate::error::FeatureError;
+use crate::extractor::check_sampling_frequency;
 use seizure_dsp::fft::Complex;
 use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{Wavelet, WaveletWorkspace};
@@ -19,7 +18,7 @@ use seizure_dsp::wavelet::{Wavelet, WaveletWorkspace};
 ///
 /// Built by [`PaperFeatureSet::scratch`] / [`RichFeatureSet::scratch`] for a
 /// fixed window length; the depth of the wavelet decomposition is clamped to
-/// what the window supports, exactly mirroring the allocating extractors.
+/// what the window supports.
 ///
 /// [`PaperFeatureSet::scratch`]: crate::extractor::PaperFeatureSet::scratch
 /// [`RichFeatureSet::scratch`]: crate::extractor::RichFeatureSet::scratch
@@ -27,20 +26,18 @@ use seizure_dsp::wavelet::{Wavelet, WaveletWorkspace};
 /// # Example
 ///
 /// ```
-/// use seizure_features::extractor::{FeatureExtractor, RichFeatureSet};
+/// use seizure_features::extractor::RichFeatureSet;
 ///
 /// # fn main() -> Result<(), seizure_features::FeatureError> {
 /// let fs = 256.0;
 /// let extractor = RichFeatureSet::new(fs)?;
-/// let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.1).sin()).collect();
-///
-/// let mut scratch = extractor.scratch(window.len())?;
-/// let mut features = vec![0.0; extractor.num_features()];
-/// extractor.extract_window_into(&window, &window, &mut features, &mut scratch)?;
-///
-/// let reference = extractor.extract_window(&window, &window)?;
-/// for (a, b) in features.iter().zip(reference.iter()) {
-///     assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
+/// let mut scratch = extractor.scratch(1024)?;
+/// let mut features = vec![0.0; RichFeatureSet::NUM_FEATURES];
+/// // Every window of the record reuses the same scratch.
+/// for phase in [0.0, 0.5, 1.0] {
+///     let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.1 + phase).sin()).collect();
+///     extractor.extract_window_into(&window, &window, &mut features, &mut scratch)?;
+///     assert!(features.iter().all(|f| f.is_finite()));
 /// }
 /// # Ok(())
 /// # }
@@ -66,19 +63,14 @@ impl FeatureScratch {
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive and
-    /// [`FeatureError::Dsp`] if the window is too short to support even one
-    /// db4 decomposition level.
+    /// finite and [`FeatureError::Dsp`] if the window is too short to
+    /// support even one db4 decomposition level.
     pub fn new(
         fs: f64,
         window_len: usize,
         max_wavelet_levels: usize,
     ) -> Result<Self, FeatureError> {
-        if fs <= 0.0 || fs.is_nan() {
-            return Err(FeatureError::InvalidConfig {
-                name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
-            });
-        }
+        check_sampling_frequency(fs)?;
         let wavelet = Wavelet::Daubechies4;
         let levels = max_wavelet_levels.min(wavelet.max_level(window_len)).max(1);
         let psd = PsdPlan::new(window_len)?;
@@ -124,7 +116,7 @@ impl FeatureScratch {
     }
 
     /// Detail coefficients at `level`, clamped into the workspace's valid
-    /// range the same way the allocating extractors clamp (`1..=levels`).
+    /// range (`1..=levels`).
     /// Only valid after [`FeatureScratch::decompose`] has run.
     pub(crate) fn detail_clamped(&self, level: usize) -> &[f64] {
         let level = level.min(self.wavelet.levels()).max(1);

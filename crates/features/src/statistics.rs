@@ -2,7 +2,6 @@
 //! RMS) used by the rich feature set of the real-time detector.
 
 use crate::error::FeatureError;
-use seizure_dsp::stats;
 
 /// Statistical summary of one analysis window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -19,7 +18,10 @@ pub struct WindowStatistics {
     pub rms: f64,
 }
 
-/// Computes the statistical summary of `window`.
+/// Computes the statistical summary of `window` in three data passes: the
+/// mean, then the central second moment with the raw power sum, then the
+/// standardized third and fourth moments. Used by the batch
+/// feature-extraction engine.
 ///
 /// # Errors
 ///
@@ -28,39 +30,14 @@ pub struct WindowStatistics {
 /// # Example
 ///
 /// ```
-/// use seizure_features::statistics::window_statistics;
+/// use seizure_features::statistics::window_statistics_fused;
 ///
 /// # fn main() -> Result<(), seizure_features::FeatureError> {
-/// let s = window_statistics(&[1.0, 2.0, 3.0, 4.0])?;
+/// let s = window_statistics_fused(&[1.0, 2.0, 3.0, 4.0])?;
 /// assert_eq!(s.mean, 2.5);
 /// # Ok(())
 /// # }
 /// ```
-pub fn window_statistics(window: &[f64]) -> Result<WindowStatistics, FeatureError> {
-    if window.is_empty() {
-        return Err(FeatureError::SignalTooShort {
-            actual: 0,
-            required: 1,
-        });
-    }
-    Ok(WindowStatistics {
-        mean: stats::mean(window)?,
-        variance: stats::variance(window)?,
-        skewness: stats::skewness(window)?,
-        kurtosis: stats::kurtosis(window)?,
-        rms: stats::rms(window)?,
-    })
-}
-
-/// Fused computation of the same summary as [`window_statistics`] in three
-/// data passes instead of eight (each `seizure_dsp::stats` helper rescans the
-/// window and recomputes the mean). Used by the batch feature-extraction
-/// engine; results agree with [`window_statistics`] to floating-point
-/// rounding (≈ 1e-15 relative).
-///
-/// # Errors
-///
-/// Returns [`FeatureError::SignalTooShort`] if the window is empty.
 pub fn window_statistics_fused(window: &[f64]) -> Result<WindowStatistics, FeatureError> {
     if window.is_empty() {
         return Err(FeatureError::SignalTooShort {
@@ -363,10 +340,10 @@ impl SpreadSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::window_statistics;
 
     #[test]
     fn empty_window_rejected() {
-        assert!(window_statistics(&[]).is_err());
         assert!(window_statistics_fused(&[]).is_err());
     }
 
@@ -396,7 +373,7 @@ mod tests {
 
     #[test]
     fn summary_of_simple_data() {
-        let s = window_statistics(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
+        let s = window_statistics_fused(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
         assert!((s.mean - 5.0).abs() < 1e-12);
         assert!((s.variance - 4.0).abs() < 1e-12);
         assert!(s.rms > s.mean); // RMS exceeds mean for non-constant positive data
@@ -404,13 +381,13 @@ mod tests {
 
     #[test]
     fn symmetric_data_has_zero_skewness() {
-        let s = window_statistics(&[-3.0, -1.0, 0.0, 1.0, 3.0]).unwrap();
+        let s = window_statistics_fused(&[-3.0, -1.0, 0.0, 1.0, 3.0]).unwrap();
         assert!(s.skewness.abs() < 1e-12);
     }
 
     #[test]
     fn constant_window_is_degenerate_but_finite() {
-        let s = window_statistics(&[4.0; 16]).unwrap();
+        let s = window_statistics_fused(&[4.0; 16]).unwrap();
         assert_eq!(s.variance, 0.0);
         assert_eq!(s.skewness, 0.0);
         assert_eq!(s.kurtosis, 0.0);
@@ -421,7 +398,7 @@ mod tests {
     fn spiky_data_has_positive_kurtosis() {
         let mut data = vec![0.0; 100];
         data[50] = 10.0;
-        let s = window_statistics(&data).unwrap();
+        let s = window_statistics_fused(&data).unwrap();
         assert!(s.kurtosis > 10.0);
     }
 

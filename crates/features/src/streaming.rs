@@ -56,8 +56,7 @@ use crate::entropy::{
 };
 use crate::error::FeatureError;
 use crate::extractor::{
-    FeatureExtractor, RichFeatureSet, SlidingWindowConfig, RICH_FEATURES_PER_CHANNEL,
-    RICH_WAVELET_LEVELS,
+    RichFeatureSet, SlidingWindowConfig, RICH_FEATURES_PER_CHANNEL, RICH_WAVELET_LEVELS,
 };
 use crate::matrix::FeatureMatrix;
 use crate::statistics::{MomentSummary, SpreadSummary};
@@ -208,8 +207,10 @@ struct ChannelStream {
 /// # Example
 ///
 /// ```
-/// use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
+/// use seizure_features::extractor::{RichFeatureSet, SlidingWindowConfig};
+/// use seizure_features::scratch::FeatureScratchPool;
 /// use seizure_features::streaming::StreamingRichExtractor;
+/// use seizure_features::FeatureMatrix;
 ///
 /// # fn main() -> Result<(), seizure_features::FeatureError> {
 /// let fs = 256.0;
@@ -219,10 +220,17 @@ struct ChannelStream {
 /// let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
 ///
 /// let mut streaming = StreamingRichExtractor::new(&config)?;
-/// let mut matrix = seizure_features::FeatureMatrix::default();
+/// let mut matrix = FeatureMatrix::default();
 /// streaming.extract_batch_into(&a, &b, &mut matrix)?;
 ///
-/// let reference = RichFeatureSet::new(fs)?.extract_batch(&a, &b, &config)?;
+/// let mut reference = FeatureMatrix::default();
+/// RichFeatureSet::new(fs)?.extract_batch_into(
+///     &a,
+///     &b,
+///     &config,
+///     &FeatureScratchPool::new(),
+///     &mut reference,
+/// )?;
 /// assert_eq!(matrix.num_windows(), reference.num_windows());
 /// for (s, r) in matrix.data().iter().zip(reference.data().iter()) {
 ///     assert!((s - r).abs() <= 1e-7 * (1.0 + r.abs()));
@@ -514,9 +522,9 @@ impl StreamingRichExtractor {
     }
 
     /// Extracts the full feature matrix of a record through the streaming
-    /// path — the drop-in counterpart of [`FeatureExtractor::extract_batch`]
-    /// for the rich set (same rows, same column names, equivalence per the
-    /// module-level error model). Resets any carried state first, so one
+    /// path — the drop-in counterpart of
+    /// [`RichFeatureSet::extract_batch_into`] (same rows, same column names,
+    /// equivalence per the module-level error model). Resets any carried state first, so one
     /// extractor can process a whole cohort of records back to back while
     /// reusing the matrix allocation.
     ///
@@ -731,7 +739,17 @@ fn finalize_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extractor::FeatureExtractor;
+    use crate::scratch::FeatureScratchPool;
+
+    /// The batch extractor's matrix of a record.
+    fn batch(fs: f64, a: &[f64], b: &[f64], config: &SlidingWindowConfig) -> FeatureMatrix {
+        let mut matrix = FeatureMatrix::default();
+        RichFeatureSet::new(fs)
+            .unwrap()
+            .extract_batch_into(a, b, config, &FeatureScratchPool::new(), &mut matrix)
+            .unwrap();
+        matrix
+    }
 
     fn synth(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed | 1;
@@ -765,10 +783,7 @@ mod tests {
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
         let mut matrix = FeatureMatrix::default();
         streaming.extract_batch_into(&a, &b, &mut matrix).unwrap();
-        let batch = RichFeatureSet::new(fs)
-            .unwrap()
-            .extract_batch(&a, &b, &config)
-            .unwrap();
+        let batch = batch(fs, &a, &b, &config);
         assert_rows_equivalent(&matrix, &batch, 1e-9);
     }
 
@@ -780,10 +795,7 @@ mod tests {
         let b = synth(1024 + 5 * 256, 22);
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
         let matrix = streaming.extract_batch(&a, &b).unwrap();
-        let batch = RichFeatureSet::new(fs)
-            .unwrap()
-            .extract_batch(&a, &b, &config)
-            .unwrap();
+        let batch = batch(fs, &a, &b, &config);
         // Bands, zero crossings, peak-to-peak, permutation and
         // wavelet entropies must match bit for bit, both channels.
         let exact: Vec<usize> = (0..11)

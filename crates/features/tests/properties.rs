@@ -1,13 +1,13 @@
 //! Property-based tests for the feature-extraction crate.
 
 use proptest::prelude::*;
-use seizure_features::bandpower::{all_band_powers, Band};
+use seizure_dsp::fft::Complex;
+use seizure_dsp::spectrum::PsdPlan;
+use seizure_features::bandpower::{band_powers_from_bins, Band};
 use seizure_features::entropy::{
-    permutation_entropy, renyi_entropy, sample_entropy, shannon_entropy,
+    permutation_entropy_scratch, renyi_entropy, sample_entropy, shannon_entropy,
 };
-use seizure_features::extractor::{
-    FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
-};
+use seizure_features::extractor::{PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
 use seizure_features::matrix::FeatureMatrix;
 use seizure_features::normalize::normalize_features;
 use seizure_features::scratch::FeatureScratchPool;
@@ -37,7 +37,11 @@ proptest! {
 
     #[test]
     fn relative_band_powers_are_a_sub_probability(window in signal(64..512)) {
-        let bp = all_band_powers(&window, 256.0).unwrap();
+        let plan = PsdPlan::new(window.len()).unwrap();
+        let mut power = vec![0.0; plan.num_bins()];
+        let mut scratch = vec![Complex::zero(); plan.scratch_len()];
+        plan.power_into(&window, 256.0, &mut power, &mut scratch).unwrap();
+        let bp = band_powers_from_bins(&power, 256.0, window.len()).unwrap();
         let sum: f64 = bp.relative.iter().sum();
         prop_assert!(sum <= 1.0 + 1e-9);
         for band in Band::ALL {
@@ -48,15 +52,16 @@ proptest! {
 
     #[test]
     fn permutation_entropy_is_normalized(window in signal(10..300), order in 2usize..6) {
-        let pe = permutation_entropy(&window, order, 1).unwrap();
+        let pe = permutation_entropy_scratch(&window, order, 1, &mut Vec::new()).unwrap();
         prop_assert!((0.0..=1.0).contains(&pe));
     }
 
     #[test]
     fn permutation_entropy_is_invariant_to_monotone_scaling(window in signal(20..200), scale in 0.1f64..10.0, shift in -50.0f64..50.0) {
         let transformed: Vec<f64> = window.iter().map(|x| x * scale + shift).collect();
-        let a = permutation_entropy(&window, 3, 1).unwrap();
-        let b = permutation_entropy(&transformed, 3, 1).unwrap();
+        let mut counts = Vec::new();
+        let a = permutation_entropy_scratch(&window, 3, 1, &mut counts).unwrap();
+        let b = permutation_entropy_scratch(&transformed, 3, 1, &mut counts).unwrap();
         prop_assert!((a - b).abs() < 1e-9);
     }
 
@@ -133,8 +138,9 @@ proptest! {
     #[test]
     fn paper_features_are_finite_on_arbitrary_windows(window in signal(32..600)) {
         let extractor = PaperFeatureSet::new(64.0).unwrap();
-        let features = extractor.extract_window(&window, &window).unwrap();
-        prop_assert_eq!(features.len(), 10);
+        let mut scratch = extractor.scratch(window.len()).unwrap();
+        let mut features = vec![f64::NAN; 10];
+        extractor.extract_window_into(&window, &window, &mut features, &mut scratch).unwrap();
         prop_assert!(features.iter().all(|f| f.is_finite()));
     }
 

@@ -1,8 +1,13 @@
 //! Cross-crate property-based tests on the core invariants of the
 //! methodology.
 
+// The pseudo-code oracle of `seizure-core`'s unit tests, compiled here as
+// well so the public entry point is checked against the same transcription.
+#[path = "../crates/core/src/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
-use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig, Implementation};
+use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig};
 use selflearn_seizure::core::metric::{deviation_seconds, normalized_deviation};
 use selflearn_seizure::features::FeatureMatrix;
 
@@ -36,22 +41,25 @@ proptest! {
     ) {
         prop_assume!(rows > window + 2);
         let matrix = feature_matrix(rows, features, seed);
-        let reference = posteriori_detect(
-            &matrix,
-            window,
-            &DetectorConfig { implementation: Implementation::Reference, subsample_step: step, normalize: true },
-        )
-        .unwrap();
+        let reference = reference::algorithm1_distances(&matrix, window, step);
         let optimized = posteriori_detect(
             &matrix,
             window,
-            &DetectorConfig { implementation: Implementation::Optimized, subsample_step: step, normalize: true },
+            &DetectorConfig { subsample_step: step },
         )
         .unwrap();
-        prop_assert_eq!(reference.window_index, optimized.window_index);
-        for (a, b) in reference.distances.iter().zip(optimized.distances.iter()) {
+        for (a, b) in reference.iter().zip(optimized.distances.iter()) {
             prop_assert!((a - b).abs() < 1e-9);
         }
+        // The oracle's peak (last maximum, as the detection picks it) is the
+        // detected window.
+        let peak = reference
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap();
+        prop_assert_eq!(peak, optimized.window_index);
     }
 
     /// A strong injected anomaly is always found near its true position.

@@ -280,7 +280,7 @@ fn quality_gate_budget_matches_the_real_snapshot_and_feature_layout() {
     // copy that can drift; spelled out: one live f64 indicator row, one
     // verdict byte per second, one corrected 4 s two-channel f64 window and
     // the quality kernel's one-channel 4 s f64 step buffer.
-    let scratch = memory.quality_scratch_bytes(1200.0);
+    let scratch = memory.quality_scratch_bytes(1200.0).unwrap();
     assert_eq!(
         scratch,
         NUM_QUALITY_FEATURES * 8 + 1200 + 4 * 256 * 2 * 8 + 4 * 256 * 8

@@ -14,11 +14,19 @@ use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
-use selflearn_seizure::features::extractor::{
-    FeatureExtractor, RichFeatureSet, SlidingWindowConfig,
-};
+use selflearn_seizure::features::extractor::{RichFeatureSet, SlidingWindowConfig};
 use selflearn_seizure::features::streaming::StreamingRichExtractor;
-use selflearn_seizure::features::FeatureMatrix;
+use selflearn_seizure::features::{FeatureMatrix, FeatureScratchPool};
+
+/// The batch extractor's matrix of a record.
+fn batch_matrix(fs: f64, a: &[f64], b: &[f64], config: &SlidingWindowConfig) -> FeatureMatrix {
+    let mut matrix = FeatureMatrix::default();
+    RichFeatureSet::new(fs)
+        .unwrap()
+        .extract_batch_into(a, b, config, &FeatureScratchPool::new(), &mut matrix)
+        .unwrap();
+    matrix
+}
 
 /// Relative tolerance of the bounded-error columns (merged vs two-pass
 /// moments); observed slack is ~1e-12, the bound leaves two orders of room.
@@ -108,10 +116,7 @@ proptest! {
         let n = config.window_samples() + extra_hops * config.step_samples();
         let a = synth_channel(n, seed);
         let b = synth_channel(n, seed ^ 0xABCD);
-        let batch = RichFeatureSet::new(fs)
-            .unwrap()
-            .extract_batch(&a, &b, &config)
-            .unwrap();
+        let batch = batch_matrix(fs, &a, &b, &config);
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
         let mut matrix = FeatureMatrix::default();
         streaming.extract_batch_into(&a, &b, &mut matrix).unwrap();
@@ -166,15 +171,12 @@ fn streaming_survives_hostile_scenarios_within_the_error_model() {
     let record = cohort.sample_record(2, 0, &sample, 40).unwrap();
     let fs = record.signal().sampling_frequency();
     let config = SlidingWindowConfig::paper_default(fs).unwrap();
-    let batch_set = RichFeatureSet::new(fs).unwrap();
     let mut streaming = StreamingRichExtractor::new(&config).unwrap();
     let mut matrix = FeatureMatrix::default();
     for scenario in HostileScenario::all() {
         for severity in [0.25, 0.6, 1.0] {
             let degraded = degrade_signal(record.signal(), scenario, severity, 99).unwrap();
-            let batch = batch_set
-                .extract_batch(degraded.f7t3(), degraded.f8t4(), &config)
-                .unwrap();
+            let batch = batch_matrix(fs, degraded.f7t3(), degraded.f8t4(), &config);
             streaming
                 .extract_batch_into(degraded.f7t3(), degraded.f8t4(), &mut matrix)
                 .unwrap();
